@@ -177,18 +177,18 @@ class BamCtrl {
     txn.line = &line;
 
     core::QueuePairSet& qps = host_->queuePairs();
-    const std::uint32_t first = qps.firstForSsd(dev);
-    const std::uint32_t n = qps.countForSsd(dev);
+    const core::QpSlice all = qps.slice(dev);
     const std::uint32_t preferred =
-        (ctx.globalThreadIdx() / gpu::kWarpSize) % n;
+        (ctx.globalThreadIdx() / gpu::kWarpSize) % all.count;
 
     // Allocate a slot; on full queues a BaM thread must drain completions
-    // itself (no service exists to do it).
+    // itself (no service exists to do it), so it keeps its own loop instead
+    // of parking through acquireSlot/slotWaiters.
     std::uint32_t slot = core::kNoSlot;
     core::AgileSq* sq = nullptr;
     for (;;) {
-      for (std::uint32_t k = 0; k < n && slot == core::kNoSlot; ++k) {
-        sq = qps.sqs[first + (preferred + k) % n].get();
+      for (std::uint32_t k = 0; k < all.count && slot == core::kNoSlot; ++k) {
+        sq = qps.sqs[all.first + (preferred + k) % all.count].get();
         ctx.charge(cost::kBamSqeIssue);
         slot = sq->tryAlloc();
       }
@@ -196,7 +196,7 @@ class BamCtrl {
       drainCq(ctx, dev, chain);
       co_await ctx.backoff(cost::kBamPollInterval);
     }
-    co_await core::issueOnSlot(ctx, *sq, slot, cmd, txn, chain);
+    core::writeAndRing(ctx, chain, *sq, &slot, &cmd, &txn, 1);
     co_await pollUntil(ctx, dev, line, chain);
   }
 
@@ -219,10 +219,9 @@ class BamCtrl {
     ++stats_.pollRounds;
     ctx.chargeSerialized(cost::kBamPollRound);  // CQ-lock section
     core::QueuePairSet& qps = host_->queuePairs();
-    const std::uint32_t first = qps.firstForSsd(dev);
-    const std::uint32_t n = qps.countForSsd(dev);
+    const core::QpSlice all = qps.slice(dev);
     const std::uint32_t pairIdx =
-        first + (ctx.globalThreadIdx() / gpu::kWarpSize) % n;
+        all.first + (ctx.globalThreadIdx() / gpu::kWarpSize) % all.count;
     core::AgileCq& cq = *qps.cqs[pairIdx];
     core::AgileSq& sq = *qps.sqs[pairIdx];
 

@@ -18,7 +18,6 @@ namespace agile::cost {
 
 // --- locks ---
 inline constexpr SimTime kLockTry = 8;            // one CAS attempt
-inline constexpr SimTime kLockRetryBackoff = 120; // backoff after failed CAS
 inline constexpr SimTime kLockRelease = 6;
 
 // --- AGILE software cache ---
@@ -35,7 +34,6 @@ inline constexpr SimTime kSqeFill = 30;       // build the 64 B command
 inline constexpr SimTime kDoorbellScanPerSqe = 5;
 inline constexpr SimTime kDoorbellWrite = 24; // MMIO write over PCIe BAR
 inline constexpr SimTime kSqeStateCheck = 8;
-inline constexpr SimTime kSqFullBackoff = 400;
 
 // --- AGILE barriers / buffers ---
 inline constexpr SimTime kBarrierCheck = 10;

@@ -786,17 +786,15 @@ class AgileCtrl {
   }
 
   // SQ selection (§3.3.1): start from the warp-indexed queue pair of the
-  // target SSD; on a full queue probe the device's other queues; if all are
+  // target SSD; on a full queue probe the slice's other queues; if all are
   // full, park until the service frees an entry. With QoS active, admission
   // gates the submission first (token-bucket defer/reject), and with WFQ
   // active the full-queue park is arbitrated by tenant virtual time.
   //
-  // Cache-originated traffic (fills, writebacks) passes its shard identity:
-  // shard s of S owns the contiguous slice [s*n/S, (s+1)*n/S) of the home
-  // device's n queue pairs (never empty), so one shard's fills, completions,
-  // and full-queue parks never touch another shard's queues. shardTotal <= 1
-  // selects over the device's full QP range — bit-identical to the
-  // pre-affinity behavior (every figure bench runs a single shard).
+  // Cache-originated traffic (fills, writebacks) passes its shard identity
+  // and probes only that shard's slice of the device's queue pairs
+  // (QueuePairSet::slice). shardTotal <= 1 selects over the device's full
+  // QP range (every figure bench runs a single shard).
   gpu::GpuTask<std::uint32_t> issueToSsd(gpu::KernelCtx& ctx,
                                          std::uint32_t dev, nvme::Sqe cmd,
                                          Transaction txn,
@@ -811,57 +809,22 @@ class AgileCtrl {
       co_return kNoSlot;
     }
     QueuePairSet& qps = host_->queuePairs();
-    std::uint32_t first = qps.firstForSsd(dev);
-    std::uint32_t n = qps.countForSsd(dev);
-    if (shardTotal > 1 && n > 1) {
-      const auto off = static_cast<std::uint32_t>(
-          std::uint64_t{shard} * n / shardTotal);
-      const auto end = static_cast<std::uint32_t>(
-          std::uint64_t{shard + 1} * n / shardTotal);
-      first += off;
-      n = end > off ? end - off : 1;
-    }
+    const QpSlice slice = qps.slice(dev, shard, shardTotal);
     const std::uint32_t preferred =
-        (ctx.globalThreadIdx() / gpu::kWarpSize) % n;
+        (ctx.globalThreadIdx() / gpu::kWarpSize) % slice.count;
     for (;;) {
-      std::uint32_t skipped = 0;
-      for (std::uint32_t k = 0; k < n; ++k) {
-        AgileSq& sq = *qps.sqs[first + (preferred + k) % n];
-        // Health-aware selection: skip quarantined QPs (free when the retry
-        // tier is off — nothing is ever quarantined, so no charge changes).
-        if (qpQuarantined(sq, host_->engine().now())) {
-          ++skipped;
-          continue;
-        }
-        ctx.charge(cost::kSqeAlloc);
-        const std::uint32_t slot = sq.tryAlloc();
-        if (slot == kNoSlot) continue;
+      const SimTime now = host_->engine().now();
+      const SlotGrant g = qps.acquireSlot(slice, preferred, now);
+      ctx.charge(g.probes * cost::kSqeAlloc);
+      if (g) {
         if (q != nullptr) q->onGrant(txn.tenant, nvme::kLbaBytes);
-        co_await issueOnSlot(ctx, sq, slot, cmd, txn, chain);
-        co_return slot;
-      }
-      if (skipped == n) {
-        // Every QP of this slice is quarantined: issue on the preferred one
-        // anyway rather than stalling the caller for a whole cooldown.
-        AgileSq& sq = *qps.sqs[first + preferred];
-        ctx.charge(cost::kSqeAlloc);
-        const std::uint32_t slot = sq.tryAlloc();
-        if (slot != kNoSlot) {
-          if (q != nullptr) q->onGrant(txn.tenant, nvme::kLbaBytes);
-          co_await issueOnSlot(ctx, sq, slot, cmd, txn, chain);
-          co_return slot;
-        }
+        writeAndRing(ctx, chain, *g.sq, &g.slot, &cmd, &txn, 1);
+        co_return g.slot;
       }
       // Every queue of this slice is full: wait for the service (not another
       // user thread) to release an entry — the §2.3.1 deadlock cannot form.
-      // Under active WFQ, park per tenant so the wake order follows virtual
-      // time instead of FIFO arrival.
-      if (q != nullptr && q->wfqActive()) {
-        q->noteBacklog(txn.tenant);
-        co_await ctx.parkOn(q->sqWaiters(txn.tenant, dev));
-      } else {
-        co_await ctx.parkOn(qps.sqs[first + preferred]->freeWaiters);
-      }
+      co_await ctx.parkOn(
+          slotWaiters(*qps.sqs[slice.first + preferred], txn.tenant));
     }
   }
 
@@ -1072,11 +1035,12 @@ class AgileCtrl {
                                      std::uint32_t nCmds,
                                      AgileLockChain& chain) {
     QueuePairSet& qps = host_->queuePairs();
-    const std::uint32_t first = qps.firstForSsd(dev);
-    const std::uint32_t n = qps.countForSsd(dev);
-    const std::uint32_t preferred =
-        (ctx.globalThreadIdx() / gpu::kWarpSize) % n;
-    AgileSq& sq = *qps.sqs[first + preferred];
+    const QpSlice all = qps.slice(dev);
+    // A width-1 slice at the warp-preferred queue pair: every slot of the
+    // run lands on one SQ, so one doorbell write covers it.
+    const QpSlice one{
+        all.first + (ctx.globalThreadIdx() / gpu::kWarpSize) % all.count, 1};
+    AgileSq& sq = *qps.sqs[one.first];
 
     // Gather this device's commands preserving batch order.
     nvme::Sqe devCmds[IoBatch::kMaxEntries];
@@ -1111,27 +1075,21 @@ class AgileCtrl {
       std::uint32_t slots[IoBatch::kMaxEntries];
       std::uint32_t got = 0;
       while (done + got < devN) {
-        ctx.charge(cost::kSqeAlloc);
-        const std::uint32_t slot = sq.tryAlloc();
-        if (slot == kNoSlot) break;
-        slots[got++] = slot;
+        const SlotGrant g = qps.acquireSlot(one, 0, host_->engine().now());
+        ctx.charge(g.probes * cost::kSqeAlloc);
+        if (!g) break;
+        slots[got++] = g.slot;
       }
       if (got == 0) {
         // Ring full: wait for the service to release entries, then continue
         // with the remainder (its doorbell counts as a new run).
-        if (q != nullptr && q->wfqActive()) {
-          q->noteBacklog(tenant);
-          co_await ctx.parkOn(q->sqWaiters(tenant, dev));
-        } else {
-          co_await ctx.parkOn(sq.freeWaiters);
-        }
+        co_await ctx.parkOn(slotWaiters(sq, tenant));
         continue;
       }
       if (q != nullptr) {
         q->onGrant(tenant, got * static_cast<std::uint32_t>(nvme::kLbaBytes));
       }
-      co_await issueOnSlots(ctx, sq, slots, devCmds + done, devTxns + done,
-                            got, chain);
+      writeAndRing(ctx, chain, sq, slots, devCmds + done, devTxns + done, got);
       ++stats_.batchDoorbells;
       done += got;
     }
@@ -1157,45 +1115,23 @@ class AgileCtrl {
     // Speculative fills are host-pumped engine events: they cannot park on
     // admission, so they bypass the token bucket (the cancellation window
     // already bounds speculation) but still pay WFQ virtual time below.
+    // They rotate over the whole device from a shared cursor.
     QueuePairSet& qps = host_->queuePairs();
-    const std::uint32_t first = qps.firstForSsd(dev);
-    const std::uint32_t n = qps.countForSsd(dev);
-    qos::QosManager* q = host_->qosManager();
-    std::uint32_t skipped = 0;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      AgileSq& sq = *qps.sqs[first + (deferredSqCursor_ + k) % n];
-      if (qpQuarantined(sq, host_->engine().now())) {
-        ++skipped;
-        continue;
+    const QpSlice all = qps.slice(dev);
+    const SimTime now = host_->engine().now();
+    const SlotGrant g = qps.acquireSlot(all, deferredSqCursor_, now);
+    if (g) {
+      deferredSqCursor_ = (g.index + 1) % all.count;
+      ++stats_.deferredIssues;
+      if (qos::QosManager* q = host_->qosManager()) {
+        q->onGrant(tenant, nvme::kLbaBytes);
       }
-      if (tryIssueFromHost(sq, cmd, txn)) {
-        deferredSqCursor_ = (deferredSqCursor_ + k + 1) % n;
-        ++stats_.deferredIssues;
-        if (q != nullptr) q->onGrant(tenant, nvme::kLbaBytes);
-        return;
-      }
+      writeAndRing(*g.sq, &g.slot, &cmd, &txn, 1);
+      return;
     }
-    if (skipped == n) {
-      // Every QP quarantined: issue anyway — parking could wait forever on
-      // queues that are quarantined-but-empty (no completion to wake us).
-      for (std::uint32_t k = 0; k < n; ++k) {
-        AgileSq& sq = *qps.sqs[first + (deferredSqCursor_ + k) % n];
-        if (tryIssueFromHost(sq, cmd, txn)) {
-          deferredSqCursor_ = (deferredSqCursor_ + k + 1) % n;
-          ++stats_.deferredIssues;
-          if (q != nullptr) q->onGrant(tenant, nvme::kLbaBytes);
-          return;
-        }
-      }
-    }
-    // Every queue of this SSD is full: re-pump when one frees an entry
-    // (through the tenant's WFQ wait list when arbitration is active).
-    sim::WaitList* parkOn = &qps.sqs[first + deferredSqCursor_ % n]->freeWaiters;
-    if (q != nullptr && q->wfqActive()) {
-      q->noteBacklog(tenant);
-      parkOn = &q->sqWaiters(tenant, dev);
-    }
-    parkOn->park([this, lineIdx, dev, lba, slot, gen, tenant] {
+    // Every queue of this SSD is full: re-pump when one frees an entry.
+    AgileSq& sq = *qps.sqs[all.first + deferredSqCursor_ % all.count];
+    slotWaiters(sq, tenant).park([this, lineIdx, dev, lba, slot, gen, tenant] {
       pumpDeferred(lineIdx, dev, lba, slot, gen, tenant);
     });
   }

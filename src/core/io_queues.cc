@@ -1,114 +1,79 @@
 #include "core/io_queues.h"
 
 namespace agile::core {
-namespace {
 
-// One Attempt_SQDB round (Algorithm 2 lines 13-18): try to take the doorbell
-// lock; the winner scans UPDATED SQEs in ring order, marks them ISSUED, and
-// writes the new tail to the device doorbell register.
-bool attemptSqDoorbell(gpu::KernelCtx& ctx, AgileSq& sq, std::uint32_t slot,
-                       AgileLockChain& chain) {
-  if (sq.dbLock.tryAcquire(ctx, chain)) {
-    std::uint32_t tail = sq.issueTail;
-    std::uint32_t advanced = 0;
-    while (sq.state[tail] == SqeState::kUpdated) {
-      ctx.charge(cost::kDoorbellScanPerSqe);
-      sq.state[tail] = SqeState::kIssued;
-      sq.armWatchdog(tail);
-      tail = (tail + 1) % sq.depth;
-      ++advanced;
+SlotGrant QueuePairSet::acquireSlot(QpSlice slice, std::uint32_t start,
+                                    SimTime now) {
+  SlotGrant g;
+  std::uint32_t quarantined = 0;
+  for (bool skipQuarantined : {true, false}) {
+    for (std::uint32_t k = 0; k < slice.count; ++k) {
+      const std::uint32_t index = (start + k) % slice.count;
+      AgileSq& sq = *sqs[slice.first + index];
+      // Health-aware selection; free when the retry tier is off, since
+      // nothing is ever quarantined then.
+      if (skipQuarantined && qpQuarantined(sq, now)) {
+        ++quarantined;
+        continue;
+      }
+      ++g.probes;
+      const std::uint32_t slot = sq.tryAlloc();
+      if (slot != kNoSlot) {
+        g.sq = &sq;
+        g.slot = slot;
+        g.index = index;
+        return g;
+      }
     }
-    if (advanced != 0) {
-      ctx.charge(cost::kDoorbellWrite);
-      sq.issueTail = tail;
-      sq.ssd->writeSqDoorbell(sq.qid, tail);
-    }
-    sq.dbLock.release(ctx, chain);
+    if (quarantined < slice.count) break;
   }
-  ctx.charge(cost::kSqeStateCheck);
-  return sq.state[slot] == SqeState::kIssued;
+  return g;
 }
 
-}  // namespace
-
-gpu::GpuTask<void> issueOnSlot(gpu::KernelCtx& ctx, AgileSq& sq,
-                               std::uint32_t slot, nvme::Sqe cmd,
-                               Transaction txn, AgileLockChain& chain) {
-  AGILE_CHECK(sq.state[slot] == SqeState::kHeld);
-  // Write the command; its CID is the slot index (unique within the batch).
-  cmd.cid = narrowCast<std::uint16_t>(slot);
-  ctx.charge(cost::kSqeFill);
-  sq.ring[slot] = cmd;
-  sq.txn[slot] = txn;
-  sq.state[slot] = SqeState::kUpdated;
-  // Algorithm 2 line 8-10: retry Attempt_SQDB until this command is covered
-  // by a doorbell write (ours or another thread's).
-  while (!attemptSqDoorbell(ctx, sq, slot, chain)) {
-    co_await ctx.backoff(cost::kLockRetryBackoff);
-  }
-}
-
-gpu::GpuTask<void> issueOnSlots(gpu::KernelCtx& ctx, AgileSq& sq,
-                                const std::uint32_t* slots,
-                                const nvme::Sqe* cmds, const Transaction* txns,
-                                std::uint32_t n, AgileLockChain& chain) {
+std::uint32_t writeAndRing(AgileSq& sq, const std::uint32_t* slots,
+                           const nvme::Sqe* cmds, const Transaction* txns,
+                           std::uint32_t n) {
   AGILE_CHECK(n >= 1);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t slot = slots[i];
     AGILE_CHECK(sq.state[slot] == SqeState::kHeld);
     nvme::Sqe cmd = cmds[i];
     cmd.cid = narrowCast<std::uint16_t>(slot);
-    ctx.charge(cost::kSqeFill);
     sq.ring[slot] = cmd;
     sq.txn[slot] = txns[i];
     sq.state[slot] = SqeState::kUpdated;
   }
-  // Slots were claimed in ring order, so a doorbell covering the last one
-  // covers the whole batch: one MMIO write for all n commands.
-  while (!attemptSqDoorbell(ctx, sq, slots[n - 1], chain)) {
-    co_await ctx.backoff(cost::kLockRetryBackoff);
-  }
-}
-
-bool tryIssueFromHost(AgileSq& sq, nvme::Sqe cmd, const Transaction& txn) {
-  const std::uint32_t slot = sq.tryAlloc();
-  if (slot == kNoSlot) return false;
-  cmd.cid = narrowCast<std::uint16_t>(slot);
-  sq.ring[slot] = cmd;
-  sq.txn[slot] = txn;
-  sq.state[slot] = SqeState::kUpdated;
-  // Advance the doorbell over the contiguous UPDATED run. A HELD slot ahead
-  // of ours stops the scan — its owner's issueOnSlot will cover us, exactly
-  // as in the lane-side protocol.
+  // Attempt_SQDB (Algorithm 2 lines 13-18): mark the UPDATED run ISSUED in
+  // ring order and publish the new tail with one doorbell write.
   std::uint32_t tail = sq.issueTail;
-  std::uint32_t advanced = 0;
+  std::uint32_t covered = 0;
   while (sq.state[tail] == SqeState::kUpdated) {
     sq.state[tail] = SqeState::kIssued;
     sq.armWatchdog(tail);
     tail = (tail + 1) % sq.depth;
-    ++advanced;
+    ++covered;
   }
-  if (advanced != 0) {
+  if (covered != 0) {
     sq.issueTail = tail;
     sq.ssd->writeSqDoorbell(sq.qid, tail);
   }
-  return true;
+  return covered;
 }
 
-gpu::GpuTask<std::uint32_t> issueCommand(gpu::KernelCtx& ctx, AgileSq& sq,
-                                         nvme::Sqe cmd, Transaction txn,
-                                         AgileLockChain& chain) {
-  std::uint32_t slot;
-  for (;;) {
-    ctx.charge(cost::kSqeAlloc);
-    slot = sq.tryAlloc();
-    if (slot != kNoSlot) break;
-    // Queue full: park until the service releases an entry. The user thread
-    // holds no lock while waiting — §3.2.1's deadlock fix.
-    co_await ctx.parkOn(sq.freeWaiters);
-  }
-  co_await issueOnSlot(ctx, sq, slot, cmd, txn, chain);
-  co_return slot;
+std::uint32_t writeAndRing(gpu::KernelCtx& ctx, AgileLockChain& chain,
+                           AgileSq& sq, const std::uint32_t* slots,
+                           const nvme::Sqe* cmds, const Transaction* txns,
+                           std::uint32_t n) {
+  // Lanes interleave only at co_await points and none holds dbLock across
+  // one, so the single CAS attempt always wins.
+  const bool locked = sq.dbLock.tryAcquire(ctx, chain);
+  AGILE_CHECK_MSG(locked, "SQ doorbell lock held across an event boundary");
+  const std::uint32_t covered = writeAndRing(sq, slots, cmds, txns, n);
+  ctx.charge(n * cost::kSqeFill + covered * cost::kDoorbellScanPerSqe +
+             (covered != 0 ? cost::kDoorbellWrite : 0) +
+             cost::kSqeStateCheck);
+  sq.dbLock.release(ctx, chain);
+  return covered;
 }
 
 void AgileSq::onTimeout(std::uint32_t slot, std::uint64_t gen) {
@@ -192,19 +157,11 @@ void AgileSq::onTimeout(std::uint32_t slot, std::uint64_t gen) {
 // --- bounded retry / backoff / failover tier ------------------------------
 
 bool RetryController::onRetryableError(AgileSq& sq, std::uint32_t slot) {
-  const Transaction& t = sq.txn[slot];
-  if (t.attempt >= policy_.maxAttempts) {
+  if (sq.txn[slot].attempt >= policy_.maxAttempts) {
     ++aborted_;
     return false;
   }
-  Pending p;
-  p.dev = sq.ssdIdx;
-  p.fromQp = sq.qpIndex;
-  p.cmd = sq.ring[slot];
-  p.txn = t;
-  ++p.txn.attempt;
-  ++retries_;
-  scheduleBackoff(std::move(p));
+  scheduleBackoff({sq.ssdIdx, sq.qpIndex, sq.ring[slot], sq.txn[slot]});
   return true;
 }
 
@@ -218,69 +175,43 @@ bool RetryController::onWatchdogExpiry(AgileSq& sq, std::uint32_t slot) {
     ++sq.quarantines;
     ++quarantines_;
   }
-  if (sq.txn[slot].attempt >= policy_.maxAttempts) {
-    // Budget spent. Unlike the tier-off path (which parks the CID and waits
-    // for the device's late answer), abort the original first: a command
-    // whose completion the fault injector swallowed would otherwise park
-    // the slot — and pin a write's staging page — forever.
-    ++aborted_;
-    ++sq.timeouts;
-    const Transaction dead = sq.txn[slot];
-    const auto r =
-        sq.ssd->abortCommand(sq.qid, narrowCast<std::uint16_t>(slot));
-    if (r == nvme::SsdController::AbortResult::kMissing) {
-      // CQE already on its way; it reclaims the CID via the kTimedOut path.
-      // The command has executed, so no memory needs to stay pinned.
-      sq.txn[slot] = Transaction{};
-      sq.txn[slot].kind = TxnKind::kTimedOut;
-      ++sq.parked;
-    } else {
-      // kAborted / kLost: dead on the device, the slot is free now.
-      sq.txn[slot] = Transaction{};
-      sq.state[slot] = SqeState::kEmpty;
-      AGILE_CHECK(sq.live > 0);
-      --sq.live;
-      sq.freeWaiters.notifyOne(*engine_);
-    }
-    settleTransaction(*engine_, dead, nvme::Status::kCommandAborted);
-    return true;
-  }
+  Pending p{sq.ssdIdx, sq.qpIndex, sq.ring[slot], sq.txn[slot]};
 
-  Pending p;
-  p.dev = sq.ssdIdx;
-  p.fromQp = sq.qpIndex;
-  p.cmd = sq.ring[slot];
-  p.txn = sq.txn[slot];
-  ++p.txn.attempt;
-
-  // Admin-abort the original: after this call the device guarantees the
-  // command performs no further DMA, so re-issuing into the same cache
-  // frame / user buffer / staging page cannot alias an in-flight transfer.
+  // Admin-abort the original in every case: after this call the device
+  // guarantees the command performs no further DMA, so re-issuing into the
+  // same cache frame / user buffer / staging page cannot alias an in-flight
+  // transfer. With the budget spent it matters too: unlike the tier-off
+  // path (which parks the CID and waits for the device's late answer), a
+  // command whose completion the fault injector swallowed would otherwise
+  // park the slot — and pin a write's staging page — forever.
   const auto r =
       sq.ssd->abortCommand(sq.qid, narrowCast<std::uint16_t>(slot));
   if (r == nvme::SsdController::AbortResult::kMissing) {
     // The CQE is already posted (or backpressured): the CID stays claimed
     // until the host consumes the late answer, which reclaims the slot via
-    // the kTimedOut path. It owns nothing — the retry carries the
-    // transaction, including any staging page.
+    // the kTimedOut path. It owns nothing: the command has executed, and a
+    // retry carries the transaction, including any staging page.
     sq.txn[slot] = Transaction{};
     sq.txn[slot].kind = TxnKind::kTimedOut;
     ++sq.parked;
   } else {
-    // kAborted / kLost: the command is dead on the device; the slot is
-    // free for reuse right away.
-    sq.txn[slot] = Transaction{};
-    sq.state[slot] = SqeState::kEmpty;
-    AGILE_CHECK(sq.live > 0);
-    --sq.live;
-    sq.freeWaiters.notifyOne(*engine_);
+    // kAborted / kLost: dead on the device, the slot is free now.
+    releaseSlot(*engine_, sq, slot);
   }
-  ++retries_;
+
+  if (p.txn.attempt >= policy_.maxAttempts) {
+    ++aborted_;
+    ++sq.timeouts;
+    settleTransaction(*engine_, p.txn, nvme::Status::kCommandAborted);
+    return true;
+  }
   scheduleBackoff(std::move(p));
   return true;
 }
 
 void RetryController::scheduleBackoff(Pending p) {
+  ++p.txn.attempt;
+  ++retries_;
   ++pending_;
   SimTime delay = policy_.backoffBaseNs;
   for (std::uint32_t i = 1; i < p.txn.attempt && delay < policy_.backoffMaxNs;
@@ -293,36 +224,19 @@ void RetryController::scheduleBackoff(Pending p) {
 }
 
 void RetryController::reissue(Pending p) {
-  AgileSq& sq = pickQueue(p.dev, p.fromQp);
-  if (tryIssueFromHost(sq, p.cmd, p.txn)) {
+  // Fail over: start after the queue pair the attempt failed on.
+  const QpSlice dev = qps_->slice(p.dev);
+  const std::uint32_t start = p.fromQp - dev.first + 1;
+  const SlotGrant g = qps_->acquireSlot(dev, start, engine_->now());
+  if (g) {
     --pending_;
-    if (sq.qpIndex != p.fromQp) ++failovers_;
+    if (g.sq->qpIndex != p.fromQp) ++failovers_;
+    writeAndRing(*g.sq, &g.slot, &p.cmd, &p.txn, 1);
     return;
   }
-  // Every candidate queue is full: re-try when the service frees an entry.
-  sq.freeWaiters.park([this, p] { reissue(p); });
-}
-
-AgileSq& RetryController::pickQueue(std::uint32_t dev, std::uint32_t fromQp) {
-  const std::uint32_t first = qps_->firstForSsd(dev);
-  const std::uint32_t n = qps_->countForSsd(dev);
-  const SimTime now = engine_->now();
-  const std::uint32_t fromLocal =
-      (fromQp >= first && fromQp < first + n) ? fromQp - first : 0;
-  // Fail over: start after the queue the attempt failed on, skip
-  // quarantined QPs, and prefer one with a free SQE.
-  AgileSq* fallback = nullptr;
-  for (std::uint32_t k = 1; k <= n; ++k) {
-    AgileSq& sq = *qps_->sqs[first + (fromLocal + k) % n];
-    if (qpQuarantined(sq, now)) continue;
-    if (fallback == nullptr) fallback = &sq;
-    if (sq.inFlight() < sq.depth - 1) return sq;
-  }
-  // Everything quarantined (or full): least-bad choice — the first
-  // candidate in failover order, quarantine notwithstanding (waiting out
-  // every cooldown with the command in hand would stall the caller).
-  return fallback != nullptr ? *fallback
-                             : *qps_->sqs[first + (fromLocal + 1) % n];
+  // Every queue pair of the device is full: re-try when one frees an entry.
+  AgileSq& sq = *qps_->sqs[dev.first + start % dev.count];
+  slotWaiters(sq, p.txn.tenant).park([this, p] { reissue(p); });
 }
 
 }  // namespace agile::core

@@ -203,6 +203,24 @@ struct AgileCq {
   AgileLock cqLock{"cq-lock"};
 };
 
+// A contiguous run of queue pairs in QueuePairSet order: all of one SSD's
+// pairs, or one cache shard's affine share of them.
+struct QpSlice {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+};
+
+// Result of QueuePairSet::acquireSlot. On a grant, `slot` is HELD on `sq`,
+// the `index`-th queue pair of the slice. `probes` counts the tryAlloc
+// calls made, granted or not: a lane pays cost::kSqeAlloc for each.
+struct SlotGrant {
+  AgileSq* sq = nullptr;
+  std::uint32_t slot = kNoSlot;
+  std::uint32_t index = 0;
+  std::uint32_t probes = 0;
+  explicit operator bool() const { return sq != nullptr; }
+};
+
 // All queue pairs the host registered, across SSDs. sqs[i] pairs with
 // cqs[i]; the device-side qid of both is identical.
 struct QueuePairSet {
@@ -211,10 +229,8 @@ struct QueuePairSet {
 
   // Per-device {first index, count} tables. Queue pairs are registered in
   // SSD-major contiguous order (initNvme), so the lookup every submission
-  // performs is O(1) instead of an O(#QPs) scan — at 8 devices x 32 QPs the
-  // scan was on every issueToSsd/issueBatchToSsd/pumpDeferred hot path.
-  // buildDeviceTables() is called once after registration; an empty table
-  // (hand-built sets in unit tests) falls back to the scan.
+  // performs is O(1). buildDeviceTables() is called once after
+  // registration.
   std::vector<std::uint32_t> devFirst;
   std::vector<std::uint32_t> devCount;
 
@@ -238,25 +254,35 @@ struct QueuePairSet {
     }
   }
 
-  // Queue pairs serving a given SSD (contiguous by construction).
-  std::uint32_t firstForSsd(std::uint32_t ssdIdx) const {
-    if (ssdIdx < devFirst.size() && devFirst[ssdIdx] != kNoSlot) {
-      return devFirst[ssdIdx];
+  // The queue pairs SSD `dev` serves submitter shard `shard` of
+  // `shardTotal` from: shard s owns [s*n/S, (s+1)*n/S) of the device's n
+  // pairs (never empty), so one cache shard's fills, completions, and
+  // full-queue parks never touch another shard's queues. shardTotal <= 1
+  // is the device's full range.
+  QpSlice slice(std::uint32_t dev, std::uint32_t shard = 0,
+                std::uint32_t shardTotal = 1) const {
+    AGILE_CHECK_MSG(dev < devCount.size() && devCount[dev] != 0,
+                    "no queue pair registered for SSD");
+    QpSlice s{devFirst[dev], devCount[dev]};
+    if (shardTotal > 1 && s.count > 1) {
+      const auto off = static_cast<std::uint32_t>(
+          std::uint64_t{shard} * s.count / shardTotal);
+      const auto end = static_cast<std::uint32_t>(
+          std::uint64_t{shard + 1} * s.count / shardTotal);
+      s.first += off;
+      s.count = end > off ? end - off : 1;
     }
-    for (std::uint32_t i = 0; i < sqs.size(); ++i) {
-      if (sqs[i]->ssdIdx == ssdIdx) return i;
-    }
-    AGILE_CHECK_MSG(false, "no queue pair registered for SSD");
-    return 0;
+    return s;
   }
-  std::uint32_t countForSsd(std::uint32_t ssdIdx) const {
-    if (ssdIdx < devCount.size() && devFirst[ssdIdx] != kNoSlot) {
-      return devCount[ssdIdx];
-    }
-    std::uint32_t n = 0;
-    for (const auto& sq : sqs) n += sq->ssdIdx == ssdIdx;
-    return n;
-  }
+
+  // Claim an SQE in `slice`, walking its queue pairs in rotation from
+  // `start`. Quarantined pairs are skipped unless every pair of the slice
+  // is quarantined; then all of them are tried anyway, since waiting out a
+  // cooldown with the command in hand would stall the caller (and a
+  // quarantined-but-empty queue has no completion to wake it).
+  AGILE_NODISCARD(
+      "a granted slot is HELD and must be written with writeAndRing")
+  SlotGrant acquireSlot(QpSlice slice, std::uint32_t start, SimTime now);
 };
 
 // Fixed pool of page-sized staging buffers for asyncWrite (§3.5: the buffer
@@ -360,9 +386,9 @@ class AGILE_CAPABILITY("retry-controller") RetryController {
     Transaction txn;
   };
 
+  // Count the next attempt of `p` and re-issue it after its backoff.
   void scheduleBackoff(Pending p);
   void reissue(Pending p);
-  AgileSq& pickQueue(std::uint32_t dev, std::uint32_t fromQp);
 
   sim::Engine* engine_;
   QueuePairSet* qps_;
@@ -425,8 +451,37 @@ inline void settleTransaction(sim::Engine& engine, const Transaction& txn,
   }
 }
 
-// Shared completion-side transition logic: releases the SQE, performs the
-// cache/buffer state change, and recycles staging. Used by the AGILE service
+// Return `slot` of `sq` to EMPTY and wake one issuer waiting for a free
+// SQE: the service, not a user thread, releases (§3.2.1's deadlock
+// elimination). With QoS attached the wake is arbitrated by WFQ virtual
+// time, falling back to the SQ's FIFO freeWaiters.
+inline void releaseSlot(sim::Engine& engine, AgileSq& sq,
+                        std::uint32_t slot) {
+  sq.txn[slot] = Transaction{};
+  sq.state[slot] = SqeState::kEmpty;
+  AGILE_CHECK(sq.live > 0);
+  --sq.live;
+  if (sq.qos != nullptr) {
+    sq.qos->onSlotFree(engine, sq.ssdIdx, sq.freeWaiters);
+  } else {
+    sq.freeWaiters.notifyOne(engine);
+  }
+}
+
+// Where a submitter that found every candidate SQ full waits for
+// releaseSlot: the tenant's per-device WFQ list while arbitration is
+// active, else the FIFO freeWaiters of `sq`. Lanes co_await
+// ctx.parkOn(list); host events list.park(fn).
+inline sim::WaitList& slotWaiters(AgileSq& sq, qos::TenantId tenant) {
+  if (sq.qos != nullptr && sq.qos->wfqActive()) {
+    sq.qos->noteBacklog(tenant);
+    return sq.qos->sqWaiters(tenant, sq.ssdIdx);
+  }
+  return sq.freeWaiters;
+}
+
+// Shared completion-side transition logic: performs the cache/buffer state
+// change, recycles staging, and releases the SQE. Used by the AGILE service
 // (Algorithm 1 lanes) and by the BaM baseline's inline polling, so both
 // stacks interpret transactions identically.
 inline void applyCompletion(sim::Engine& engine, AgileSq& sq,
@@ -435,34 +490,20 @@ inline void applyCompletion(sim::Engine& engine, AgileSq& sq,
   AGILE_CHECK_MSG(sq.state[slot] == SqeState::kIssued,
                   "completion for a non-issued SQE");
   sq.disarmWatchdog(slot);
+  const Transaction txn = sq.txn[slot];
 
   // Bounded retry tier: a retryable media error re-issues the command with
   // backoff instead of settling the transaction; only once the budget is
   // exhausted is the transaction errored — with kCommandAborted, matching
   // the watchdog-exhaustion path.
   if (sq.retry != nullptr && isRetryableStatus(status) &&
-      sq.txn[slot].kind != TxnKind::kTimedOut &&
-      sq.txn[slot].kind != TxnKind::kNone) {
+      txn.kind != TxnKind::kTimedOut && txn.kind != TxnKind::kNone) {
     if (sq.retry->onRetryableError(sq, slot)) {
-      sq.txn[slot] = Transaction{};
-      sq.state[slot] = SqeState::kEmpty;
-      AGILE_CHECK(sq.live > 0);
-      --sq.live;
-      if (sq.qos != nullptr) {
-        sq.qos->onSlotFree(engine, sq.ssdIdx, sq.freeWaiters);
-      } else {
-        sq.freeWaiters.notifyOne(engine);
-      }
+      releaseSlot(engine, sq, slot);
       return;
     }
     status = nvme::Status::kCommandAborted;
   }
-
-  Transaction txn = sq.txn[slot];
-  sq.txn[slot] = Transaction{};
-  sq.state[slot] = SqeState::kEmpty;
-  AGILE_CHECK(sq.live > 0);
-  --sq.live;
 
   // The watchdog already errored this transaction; the device's (late)
   // answer reclaims the CID and any DMA memory the watchdog had to keep
@@ -486,46 +527,36 @@ inline void applyCompletion(sim::Engine& engine, AgileSq& sq,
                          engine.now() - txn.submitNs);
     }
   }
-  // A freed SQE may unblock an issuer parked on the full queue (§3.2.1's
-  // deadlock elimination: the service, not the user thread, releases).
-  // Under active WFQ the wake is arbitrated by tenant virtual time.
-  if (sq.qos != nullptr) {
-    sq.qos->onSlotFree(engine, sq.ssdIdx, sq.freeWaiters);
-  } else {
-    sq.freeWaiters.notifyOne(engine);
-  }
+  releaseSlot(engine, sq, slot);
 }
 
 // --- Algorithm 2: serialization process in SQs -----------------------------
+//
+// Every submitter issues in two steps: QueuePairSet::acquireSlot claims an
+// SQE in ring order, and writeAndRing writes it and lets the caller cover
+// the contiguous UPDATED run with one doorbell write. Submitters differ
+// only in the slice they probe, how they wait when it is full (slotWaiters),
+// and whether a lane pays the cost.
 
-// Enqueue `cmd` into `sq` at a claimed slot and drive the doorbell protocol
-// until this command is ISSUED. Assumes the slot was claimed via tryAlloc.
-gpu::GpuTask<void> issueOnSlot(gpu::KernelCtx& ctx, AgileSq& sq,
-                               std::uint32_t slot, nvme::Sqe cmd,
-                               Transaction txn, AgileLockChain& chain);
+// Write `n` commands into `n` HELD slots of `sq` (claimed in ring order;
+// each command's CID is its slot index, unique within the SQ batch) and
+// mark them UPDATED; then advance issueTail over the contiguous UPDATED
+// run, arm each covered command's watchdog, and write the SQ doorbell once.
+// A HELD slot ahead of the run stops the scan, and its owner's own
+// writeAndRing covers everything behind it. Returns the number of SQEs the
+// scan covered. Host events call this form directly: lanes acquire and
+// release dbLock within one resume segment, so it is never held at an
+// event boundary.
+std::uint32_t writeAndRing(AgileSq& sq, const std::uint32_t* slots,
+                           const nvme::Sqe* cmds, const Transaction* txns,
+                           std::uint32_t n);
 
-// Full issue path: pick a slot on `sq` (parking on freeWaiters while the
-// queue is full), then issueOnSlot.
-gpu::GpuTask<std::uint32_t> issueCommand(gpu::KernelCtx& ctx, AgileSq& sq,
-                                         nvme::Sqe cmd, Transaction txn,
-                                         AgileLockChain& chain);
-
-// Batched Algorithm 2: write `n` commands into `n` pre-claimed ring slots
-// (claimed in ring order via tryAlloc), then drive the doorbell protocol
-// until all of them are ISSUED — the contiguous UPDATED run is covered by a
-// single SQ doorbell write instead of one per command.
-gpu::GpuTask<void> issueOnSlots(gpu::KernelCtx& ctx, AgileSq& sq,
-                                const std::uint32_t* slots,
-                                const nvme::Sqe* cmds, const Transaction* txns,
-                                std::uint32_t n, AgileLockChain& chain);
-
-// Host-side issue used by the deferred speculative-prefetch pump (an engine
-// timer, not a GPU lane — there is no KernelCtx to charge and no lock chain).
-// Claims a slot, writes the command, and advances the doorbell over the
-// contiguous UPDATED run. Safe against lane-side doorbell races because
-// device locks are never held across an engine event boundary (lanes
-// acquire and release `dbLock` within one resume segment). Returns false if
-// the queue is full; the caller re-arms via sq.freeWaiters.
-bool tryIssueFromHost(AgileSq& sq, nvme::Sqe cmd, const Transaction& txn);
+// Lane form: runs the scan under dbLock and charges the lane for the
+// fills, the per-SQE scan, the doorbell MMIO write, and the final state
+// check of its own SQE.
+std::uint32_t writeAndRing(gpu::KernelCtx& ctx, AgileLockChain& chain,
+                           AgileSq& sq, const std::uint32_t* slots,
+                           const nvme::Sqe* cmds, const Transaction* txns,
+                           std::uint32_t n);
 
 }  // namespace agile::core

@@ -10,8 +10,7 @@ SsdController::SsdController(sim::Engine& engine, SsdConfig cfg)
       cfg_(cfg),
       flash_(cfg.capacityLbas),
       readBucket_(cfg.readIops, cfg.iopsBurst),
-      writeBucket_(cfg.writeIops, cfg.iopsBurst),
-      faultRng_(cfg.faultSeed) {
+      writeBucket_(cfg.writeIops, cfg.iopsBurst) {
   if (cfg_.fault.enabled) {
     fault_ = std::make_unique<FaultInjector>(cfg_.fault);
   }
@@ -242,10 +241,6 @@ Status SsdController::doDma(const Sqe& sqe) {
     if (bad >= sqe.slba && bad < sqe.slba + pages) {
       return isRead ? Status::kUnrecoveredReadError : Status::kWriteFault;
     }
-  }
-  if (cfg_.faultProbability > 0.0 &&
-      faultRng_.nextDouble() < cfg_.faultProbability) {
-    return isRead ? Status::kUnrecoveredReadError : Status::kWriteFault;
   }
 
   AGILE_CHECK_MSG(hbm_ != nullptr, "SSD not attached to GPU HBM (BAR map)");

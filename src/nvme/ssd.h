@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "gpu/hbm.h"
@@ -45,8 +44,6 @@ struct SsdConfig {
   SimTime cmdFetchNs = 100;       // per-command fetch/decode, serial per QP
   double latencyJitter = 0.03;    // deterministic per-command jitter fraction
   std::uint32_t maxQueuePairs = 128;
-  double faultProbability = 0.0;  // injected media-error rate
-  std::uint64_t faultSeed = 1;
   // If nonzero, DMA copies only this many bytes per page (timing unchanged);
   // large bandwidth sweeps use it to bound host memory.
   std::uint32_t payloadBytes = 0;
@@ -189,7 +186,6 @@ class SsdController {
   std::vector<Inflight> inflight_;
   std::vector<std::uint32_t> freeSlots_;
   std::vector<std::uint64_t> faultLbas_;
-  Rng faultRng_;
   std::unique_ptr<FaultInjector> fault_;
   // (qid << 16 | cid) keys of commands whose completion the injector
   // swallowed; abortCommand reports these as kLost and forgets them.

@@ -13,13 +13,14 @@
 //     armed on the engine's wheel at the bucket's readyAt; after
 //     maxAdmissionDefers consecutive defers the submission is rejected and
 //     its transaction settled with kCommandAborted.
-//   * WFQ — when wfqActive() (QoS on AND weights unequal), lanes that find
-//     every SQ of their target SSD full park on sqWaiters(tenant, dev)
-//     instead of the SQ's FIFO freeWaiters; each slot grant charges the
-//     tenant's virtual time by bytes/weight, and each completion wakes the
-//     backlogged tenant with the minimum virtual time (ties to the lowest
-//     tenant id, so replay is deterministic). With QoS off or all weights
-//     equal nothing attaches and the round-robin path is byte-identical.
+//   * WFQ — when wfqActive() (QoS on AND weights unequal), submitters that
+//     find every SQ of their target SSD full park on sqWaiters(tenant, dev)
+//     instead of the SQ's FIFO freeWaiters (core::slotWaiters); each slot
+//     grant charges the tenant's virtual time by bytes/weight, and each
+//     freed slot (core::releaseSlot) wakes the backlogged tenant with the
+//     minimum virtual time (ties to the lowest tenant id, so replay is
+//     deterministic). With QoS off or all weights equal nothing attaches
+//     and the round-robin path is byte-identical.
 //   * Stats — applyCompletion records submit-to-settle latency and bytes
 //     per tenant whenever a QosManager is attached; AgileCtrl reports
 //     cache-line ownership transitions for per-tenant space accounting.

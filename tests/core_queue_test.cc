@@ -11,6 +11,7 @@
 #include "core/io_queues.h"
 #include "gpu/exec.h"
 #include "nvme/defs.h"
+#include "sq_issue.h"
 
 namespace agile::core {
 namespace {
@@ -77,7 +78,7 @@ TEST_F(QueueFixture, IssueCommandCompletesViaService) {
         txn.kind = TxnKind::kBufRead;
         txn.buf = &tmp;
         tmp.barrier().addPending();
-        co_await issueCommand(ctx, *host->queuePairs().sqs[0], cmd, txn, chain);
+        co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         ok = co_await barrierWait(ctx, tmp.barrier());
       });
   ASSERT_TRUE(ran);
@@ -112,7 +113,7 @@ TEST_F(QueueFixture, DoorbellCoversBatches) {
         txn.kind = TxnKind::kBufRead;
         txn.buf = &tmp;
         tmp.barrier().addPending();
-        co_await issueCommand(ctx, *host->queuePairs().sqs[0], cmd, txn, chain);
+        co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         co_await barrierWait(ctx, tmp.barrier());
         ++done;
       });
@@ -144,7 +145,7 @@ TEST_F(QueueFixture, MoreRequestsThanQueueDepth) {
         txn.kind = TxnKind::kBufRead;
         txn.buf = &tmp;
         tmp.barrier().addPending();
-        co_await issueCommand(ctx, *host->queuePairs().sqs[0], cmd, txn, chain);
+        co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         co_await barrierWait(ctx, tmp.barrier());
         ++done;
       });
@@ -177,12 +178,75 @@ TEST_F(QueueFixture, DeadlocksWithoutService) {
           txn.kind = TxnKind::kBufRead;
           txn.buf = &tmp;
           tmp.barrier().addPending();
-          co_await issueCommand(ctx, *host->queuePairs().sqs[0], cmd, txn,
-                                chain);
+          co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         }
         co_await barrierWait(ctx, tmp.barrier());
       });
   EXPECT_FALSE(ran);  // watchdog: simulated deadlock detected
+}
+
+TEST_F(QueueFixture, HostWriteBehindHeldLaneSlotSharesItsDoorbell) {
+  // Algorithm 2 with mixed submitters on one SQ: a lane claims slot k and is
+  // suspended before writing it, while a host event (the speculative pump,
+  // a retry) claims and writes k+1. The host's scan must stop at the HELD
+  // slot — the doorbell never passes an unwritten SQE — and the lane's own
+  // write-and-ring then covers both commands with one doorbell write.
+  build();  // no service: the device's completions stay in the CQ
+  QueuePairSet& qps = host->queuePairs();
+  AgileSq& sq = *qps.sqs[0];
+  const nvme::QueuePair& devQp = host->ssd(0).queuePair(sq.qid);
+  auto* mem = host->gpu().hbm().allocBytes(2 * nvme::kLbaBytes);
+  AgileBuf laneBuf(mem);
+  AgileBuf hostBuf(mem + nvme::kLbaBytes);
+  auto readInto = [&](AgileBuf& b, std::uint64_t lba, nvme::Sqe* cmd,
+                      Transaction* txn) {
+    cmd->opcode = static_cast<std::uint8_t>(nvme::Opcode::kRead);
+    cmd->slba = lba;
+    cmd->prp1 = host->gpu().hbm().physAddr(b.data());
+    txn->kind = TxnKind::kBufRead;
+    txn->buf = &b;
+    b.barrier().addPending();
+  };
+  nvme::Sqe laneCmd;
+  nvme::Sqe hostCmd;
+  Transaction laneTxn;
+  Transaction hostTxn;
+  readInto(laneBuf, 5, &laneCmd, &laneTxn);
+  readInto(hostBuf, 6, &hostCmd, &hostTxn);
+
+  std::uint32_t laneSlot = kNoSlot;
+  std::uint32_t laneCovered = 0;
+  auto k = host->launchKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "held"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        const SlotGrant g = qps.acquireSlot({0, 1}, 0, ctx.engine().now());
+        laneSlot = g.slot;
+        co_await ctx.backoff(10'000);  // suspended with the slot HELD
+        laneCovered =
+            writeAndRing(ctx, chain, *g.sq, &g.slot, &laneCmd, &laneTxn, 1);
+      });
+  ASSERT_TRUE(host->engine().runUntil([&] { return laneSlot != kNoSlot; }));
+  ASSERT_EQ(sq.state[laneSlot], SqeState::kHeld);
+
+  // The host submitter runs between the lane's segments.
+  const SlotGrant g = qps.acquireSlot({0, 1}, 0, host->engine().now());
+  ASSERT_TRUE(g);
+  EXPECT_EQ(g.slot, laneSlot + 1);
+  EXPECT_EQ(writeAndRing(*g.sq, &g.slot, &hostCmd, &hostTxn, 1), 0u);
+  EXPECT_EQ(sq.state[g.slot], SqeState::kUpdated);
+  EXPECT_EQ(sq.issueTail, laneSlot);
+  EXPECT_EQ(devQp.sqTailDoorbell, laneSlot);
+
+  ASSERT_TRUE(host->wait(k));
+  EXPECT_EQ(laneCovered, 2u);  // one scan, one doorbell write, both SQEs
+  EXPECT_EQ(sq.state[laneSlot], SqeState::kIssued);
+  EXPECT_EQ(sq.state[g.slot], SqeState::kIssued);
+  EXPECT_EQ(sq.issueTail, g.slot + 1);
+  EXPECT_EQ(devQp.sqTailDoorbell, g.slot + 1);
+  // The device fetched and served both commands.
+  host->engine().runFor(host->engine().now() + 1'000'000);
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 2u);
 }
 
 TEST_F(QueueFixture, CompletionReleasesSqe) {
@@ -236,7 +300,7 @@ TEST_F(QueueFixture, ErrorStatusPropagatesToBarrier) {
         txn.kind = TxnKind::kBufRead;
         txn.buf = &tmp;
         tmp.barrier().addPending();
-        co_await issueCommand(ctx, *host->queuePairs().sqs[0], cmd, txn, chain);
+        co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         ok = co_await barrierWait(ctx, tmp.barrier());
       });
   ASSERT_TRUE(ran);
@@ -264,8 +328,7 @@ TEST_F(QueueFixture, MultiQueueDistribution) {
         txn.buf = &tmp;
         tmp.barrier().addPending();
         const std::uint32_t qp = (tid / 32) % 4;
-        co_await issueCommand(ctx, *host->queuePairs().sqs[qp], cmd, txn,
-                              chain);
+        co_await laneIssueOn(ctx, host->queuePairs(), qp, cmd, txn, chain);
         co_await barrierWait(ctx, tmp.barrier());
       });
   ASSERT_TRUE(ran);
@@ -294,7 +357,7 @@ TEST_F(QueueFixture, ServiceStatsAdvance) {
         txn.kind = TxnKind::kBufRead;
         txn.buf = &tmp;
         tmp.barrier().addPending();
-        co_await issueCommand(ctx, *host->queuePairs().sqs[0], cmd, txn, chain);
+        co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         co_await barrierWait(ctx, tmp.barrier());
       });
   ASSERT_TRUE(ran);

@@ -217,8 +217,11 @@ TEST_F(StripeFixture, QueuePairTablesAreSsdMajor) {
   QueuePairSet& qps = host->queuePairs();
   ASSERT_EQ(qps.count(), 12u);
   for (std::uint32_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(qps.firstForSsd(s), s * 4);
-    EXPECT_EQ(qps.countForSsd(s), 4u);
+    EXPECT_EQ(qps.slice(s).first, s * 4);
+    EXPECT_EQ(qps.slice(s).count, 4u);
+    // Shard 1 of 2 owns the upper half of the device's queue pairs.
+    EXPECT_EQ(qps.slice(s, 1, 2).first, s * 4 + 2);
+    EXPECT_EQ(qps.slice(s, 1, 2).count, 2u);
     for (std::uint32_t q = 0; q < 4; ++q) {
       EXPECT_EQ(qps.sqs[s * 4 + q]->ssdIdx, s);
     }

@@ -13,6 +13,7 @@
 #include "core/ctrl.h"
 #include "core/host.h"
 #include "nvme/flash_store.h"
+#include "sq_issue.h"
 
 namespace agile::core {
 namespace {
@@ -31,6 +32,8 @@ struct RetryFixture : ::testing::Test {
     bool startService = true;
     std::uint32_t cacheLines = 64;
     std::uint32_t stagingPages = 8;
+    qos::QosConfig qos;
+    SimTime kernelTimeout = HostConfig{}.kernelTimeout;
   };
 
   void build(const BuildOpts& o) {
@@ -40,6 +43,8 @@ struct RetryFixture : ::testing::Test {
     cfg.stagingPages = o.stagingPages;
     cfg.ioTimeoutNs = o.ioTimeoutNs;
     cfg.retry = o.retry;
+    cfg.qos = o.qos;
+    cfg.kernelTimeout = o.kernelTimeout;
     host = std::make_unique<AgileHost>(cfg);
     nvme::SsdConfig ssd;
     ssd.capacityLbas = 1u << 16;
@@ -191,8 +196,8 @@ TEST_F(RetryFixture, LateOriginalCompletionMidBackoff) {
   txn.kind = TxnKind::kBufRead;
   txn.buf = &buf;
   buf.barrier().addPending();
-  AgileSq& sq = *host->queuePairs().sqs[0];
-  ASSERT_TRUE(tryIssueFromHost(sq, readCmd(21, mem), txn));
+  ASSERT_TRUE(hostIssueOn(host->queuePairs(), 0, host->engine().now(),
+                          readCmd(21, mem), txn));
 
   // Run past the watchdog but not up to the re-issue: mid-backoff.
   host->engine().runFor(host->engine().now() + 600'000);
@@ -333,8 +338,8 @@ TEST_F(RetryFixture, QuarantineAndCooldownTransitions) {
     txn.kind = TxnKind::kBufRead;
     txn.buf = b;
     b->barrier().addPending();
-    ASSERT_TRUE(tryIssueFromHost(
-        sq0, readCmd(b == &bufA ? 3 : 4, b->data()), txn));
+    ASSERT_TRUE(hostIssueOn(host->queuePairs(), 0, host->engine().now(),
+                            readCmd(b == &bufA ? 3 : 4, b->data()), txn));
   }
 
   // Two expiries on QP0 -> quarantine; the retries fail over to QP1, are
@@ -403,6 +408,55 @@ TEST_F(RetryFixture, CancelDuringRetryWindowIsRefused) {
   const std::uint32_t line = findLine(7, 8);
   ASSERT_NE(line, kNoSlot);
   EXPECT_EQ(ctrl->cache().line(line).state, LineState::kReady);
+}
+
+// Under active WFQ, lanes that find the SQ full park on their tenant's WFQ
+// list, so every slot release must go through WFQ arbitration, including
+// the retry tier's watchdog-expiry frees. With every completion swallowed
+// those frees are the only ones: all lanes must still finish, with their
+// aborts reported, long before the kernel timeout.
+TEST_F(RetryFixture, WatchdogFreesWakeWfqParkedLanes) {
+  BuildOpts o;
+  o.fault.enabled = true;
+  o.fault.seed = 11;
+  o.fault.dropRate = 1.0;  // the device never answers anything
+  o.retry.maxAttempts = 1;
+  o.retry.backoffBaseNs = 100'000;
+  o.retry.quarantineAfter = 0;
+  o.ioTimeoutNs = 200'000;
+  o.qps = 1;
+  o.depth = 8;  // 7 usable slots for 32 lanes
+  o.qos.enabled = true;
+  o.qos.tenants.push_back({"heavy", 4.0});
+  o.qos.tenants.push_back({"light", 1.0});
+  o.kernelTimeout = 50'000'000;  // 50 ms, ~20x the expected makespan
+  build(o);
+  ASSERT_TRUE(host->qosManager()->wfqActive());
+
+  constexpr std::uint32_t kLanes = 32;
+  auto* mem = host->gpu().hbm().allocBytes(kLanes * nvme::kLbaBytes);
+  std::uint32_t finished = 0;
+  std::uint32_t failed = 0;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = kLanes, .name = "wfq-aborts"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        const std::uint32_t tid = ctx.globalThreadIdx();
+        const qos::TenantId tenant{static_cast<std::uint16_t>(tid % 2)};
+        AgileBuf buf(mem + tid * nvme::kLbaBytes);
+        AgileBufPtr ptr(buf);
+        co_await ctrl->asyncRead(ctx, 0, tid, ptr, chain, tenant);
+        const bool ok = co_await ctrl->waitBuf(ctx, ptr);
+        if (!ok) ++failed;
+        ++finished;
+      }));
+  EXPECT_EQ(finished, kLanes);
+  EXPECT_EQ(failed, kLanes);
+  const IoHealthStats h = host->ioHealth();
+  EXPECT_EQ(h.retries, kLanes);
+  EXPECT_EQ(h.aborted, kLanes);
+  EXPECT_EQ(h.pendingRetries, 0u);
+  EXPECT_EQ(host->pendingTransactions(), 0u);
 }
 
 // GC-pause storms only stretch latency: everything still completes, and a

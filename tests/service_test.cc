@@ -5,6 +5,7 @@
 
 #include "core/ctrl.h"
 #include "core/host.h"
+#include "sq_issue.h"
 
 namespace agile::core {
 namespace {
@@ -58,8 +59,7 @@ struct ServiceFixture : ::testing::Test {
           tmp.barrier().addPending();
           const std::uint32_t qp =
               ctx.globalThreadIdx() % host->queuePairs().count();
-          co_await issueCommand(ctx, *host->queuePairs().sqs[qp], cmd, txn,
-                                chain);
+          co_await laneIssueOn(ctx, host->queuePairs(), qp, cmd, txn, chain);
           co_await barrierWait(ctx, tmp.barrier());
         });
     ASSERT_TRUE(ok);
@@ -105,8 +105,7 @@ TEST_F(ServiceFixture, WatchdogErrorsSlowCommand) {
         txn.kind = TxnKind::kBufRead;
         txn.buf = &tmp;
         tmp.barrier().addPending();
-        co_await issueCommand(ctx, *host->queuePairs().sqs[0], cmd, txn,
-                              chain);
+        co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         readOk = co_await barrierWait(ctx, tmp.barrier());
       });
   ASSERT_TRUE(ok);
@@ -181,8 +180,7 @@ TEST_F(ServiceFixture, WatchdogDefersStagingRecycleOnWriteTimeout) {
         txn.stagingPool = &host->staging();
         txn.barrier = &buf.barrier();
         buf.barrier().addPending();
-        co_await issueCommand(ctx, *host->queuePairs().sqs[0], cmd, txn,
-                              chain);
+        co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         (void)co_await barrierWait(ctx, buf.barrier());
       });
   ASSERT_TRUE(ok);

@@ -602,10 +602,14 @@ def check_tenant_default(ctx: FileContext) -> Iterator[Finding]:
             )
 
 
+# Every submission entry point that takes a device index: the lane-side
+# calls, whose dev argument follows ctx, and QueuePairSet::slice(dev, ...),
+# the one queue-pair routing call every SQ issue path goes through.
 _DEVICE_CALL_RE = re.compile(
     r"\b(prefetch|prefetchDivergent|asyncRead|asyncWrite|submitRead|"
     r"submitWrite|submitPrefetch|arrayRead|arrayReadCoalesced|arrayWrite|"
-    r"readElem|issueToSsd|issueBatchToSsd)\s*(?:<[^;(){}]*>)?\s*(\()"
+    r"readElem|writeElem|readPage|issueFill|issueToSsd|issueBatchToSsd|"
+    r"slice)\s*(?:<[^;(){}]*>)?\s*(\()"
 )
 _INT_LITERAL_RE = re.compile(r"^(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]{0,3}$")
 
@@ -624,16 +628,21 @@ def check_device_literal(ctx: FileContext) -> Iterator[Finding]:
     # resolves to a device; library code that pins `0` (or any literal) as
     # the dev argument of a submission call silently reads device 0 of a
     # striped array. Tests, benches, and examples legitimately pin devices,
-    # so the check scopes to src/. The dev argument is the one after ctx.
+    # so the check scopes to src/. The dev argument is the one after ctx,
+    # or slice()'s first.
     for m in _DEVICE_CALL_RE.finditer(ctx.stripped):
         args = _call_args(ctx.stripped, m.start(2))
-        if len(args) < 2 or "ctx" not in args[0]:
+        if m.group(1) == "slice":
+            dev = args[0] if args else ""
+        elif len(args) >= 2 and "ctx" in args[0]:
+            dev = args[1]
+        else:
             continue
-        if _INT_LITERAL_RE.match(args[1]):
+        if _INT_LITERAL_RE.match(dev):
             line = 1 + ctx.stripped.count("\n", 0, m.start())
             yield Finding(
                 ctx.relpath, line, "device-literal",
-                f"{m.group(1)}() with literal device index '{args[1]}' — "
+                f"{m.group(1)}() with literal device index '{dev}' — "
                 "route through core::elemAddr(idx, stripe).dev instead of "
                 "hard-wiring a device",
             )

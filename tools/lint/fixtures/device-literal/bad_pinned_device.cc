@@ -9,9 +9,20 @@ struct Ctrl {
   int submitRead(Ctx& ctx, unsigned dev, unsigned long lba, Buf& b, Chain& c);
   void prefetch(Ctx& ctx, unsigned dev, unsigned long lba, Chain& c);
 };
+struct QpSlice {
+  unsigned first;
+  unsigned count;
+};
+struct QueuePairs {
+  QpSlice slice(unsigned dev, unsigned shard, unsigned shardTotal);
+};
 
 int pinned(Ctrl& ctrl, Ctx& ctx, Chain& chain, Buf& buf) {
   ctrl.prefetch(ctx, 0, 17, chain);
   int t = ctrl.submitRead(ctx, 2, 17, buf, chain);
   return t + ctrl.arrayRead(ctx, 0, 99, chain);
+}
+
+unsigned pinnedQueuePairs(QueuePairs& qps) {
+  return qps.slice(0, 0, 1).count;
 }

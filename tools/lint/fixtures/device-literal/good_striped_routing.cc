@@ -14,6 +14,13 @@ struct Ctrl {
   int submitRead(Ctx& ctx, unsigned dev, unsigned long lba, Buf& b, Chain& c);
   void prefetch(Ctx& ctx, unsigned dev, unsigned long lba, Chain& c);
 };
+struct QpSlice {
+  unsigned first;
+  unsigned count;
+};
+struct QueuePairs {
+  QpSlice slice(unsigned dev, unsigned shard, unsigned shardTotal);
+};
 
 int striped(Ctrl& ctrl, Ctx& ctx, Chain& chain, Buf& buf,
             const StripeMap& stripe, unsigned long idx) {
@@ -21,4 +28,9 @@ int striped(Ctrl& ctrl, Ctx& ctx, Chain& chain, Buf& buf,
   ctrl.prefetch(ctx, at.dev, at.lba, chain);
   int t = ctrl.submitRead(ctx, at.dev, at.lba, buf, chain);
   return t + ctrl.arrayRead(ctx, at.dev, idx, chain);
+}
+
+unsigned routedQueuePairs(QueuePairs& qps, const StripeMap& stripe,
+                          unsigned long idx) {
+  return qps.slice(elemAddr(idx, stripe).dev, 0, 1).count;
 }
