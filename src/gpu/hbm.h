@@ -4,6 +4,11 @@
 // (§3.1: queues and cache are pinned, physically contiguous HBM ranges that
 // the SSDs DMA into).
 //
+// Each allocation is its own anonymous mapping: it reads as zero (a fresh CQ
+// ring's phase-0 entries mean "not yet posted") and is backed by host pages
+// only when first written, so resident memory follows the cache lines and
+// buffers a run actually fills, not the capacity it reserves.
+//
 // Allocations are stable for the lifetime of the arena; the simulator's SSD
 // controller "DMAs" into them with plain memcpy at completion time.
 #pragma once
@@ -21,10 +26,15 @@ namespace agile::gpu {
 
 class Hbm {
  public:
+  // Largest alignment allocBytes honours for the host pointer: mappings
+  // start on a page boundary.
+  static constexpr std::uint64_t kMaxAlign = 4096;
+
   explicit Hbm(std::uint64_t capacityBytes);
 
-  // Allocate `bytes` aligned to `align`; aborts if over capacity (mirrors
-  // cudaMalloc failure being fatal in the paper's setup).
+  // Allocate `bytes` zero-filled, aligned to `align` (a power of two up to
+  // kMaxAlign); aborts if over capacity (mirrors cudaMalloc failure being
+  // fatal in the paper's setup).
   std::byte* allocBytes(std::uint64_t bytes, std::uint64_t align = 64);
 
   template <class T>
@@ -44,16 +54,25 @@ class Hbm {
   std::byte* fromPhysAddr(std::uint64_t addr) const;
 
  private:
+  struct Unmap {
+    std::size_t length;
+    void operator()(std::byte* p) const;
+  };
   struct Chunk {
-    std::unique_ptr<std::byte[]> data;
+    std::unique_ptr<std::byte, Unmap> data;
     std::uint64_t size;
     std::uint64_t base;  // simulated physical base address
   };
 
+  // First entry of byHost_ whose chunk starts above hostAddr.
+  std::vector<std::uint32_t>::const_iterator firstAbove(
+      std::uintptr_t hostAddr) const;
+
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   std::uint64_t nextBase_ = 0x1000;  // avoid 0 looking like a null PRP
-  std::vector<Chunk> chunks_;
+  std::vector<Chunk> chunks_;  // ascending base (allocation order)
+  std::vector<std::uint32_t> byHost_;  // chunk indices, ascending host address
 };
 
 }  // namespace agile::gpu

@@ -251,8 +251,12 @@ Status SsdController::doDma(const Sqe& sqe) {
   for (std::uint32_t p = 0; p < pages; ++p) {
     std::byte* target = hbm_->fromPhysAddr(sqe.prp1 + p * kLbaBytes);
     if (isRead) {
-      AGILE_CHECK(flash_.readPage(sqe.slba + p, page));
-      std::memcpy(target, page, copyBytes);
+      if (copyBytes == kLbaBytes) {
+        AGILE_CHECK(flash_.readPage(sqe.slba + p, target));
+      } else {
+        AGILE_CHECK(flash_.readPage(sqe.slba + p, page));
+        std::memcpy(target, page, copyBytes);
+      }
       bytesRead_ += kLbaBytes;
     } else {
       if (copyBytes == kLbaBytes) {

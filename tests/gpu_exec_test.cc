@@ -3,13 +3,25 @@
 // register model.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "gpu/exec.h"
 #include "gpu/regmodel.h"
 #include "sim/engine.h"
+
+// ASan/TSan builds (GCC spells the test __SANITIZE_*, clang __has_feature).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AGILE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define AGILE_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace agile::gpu {
 namespace {
@@ -324,6 +336,62 @@ TEST(HbmTest, DistinctChunksDistinctAddresses) {
   auto a = hbm.alloc<std::uint32_t>(4);
   auto b = hbm.alloc<std::uint32_t>(4);
   EXPECT_NE(hbm.physAddr(a.data()), hbm.physAddr(b.data()));
+}
+
+TEST(HbmTest, HonoursAlignment) {
+  Hbm hbm(64_MiB);
+  for (std::uint64_t align : {8u, 64u, 4096u}) {
+    for (std::uint64_t bytes : {1u, 24u, 100u, 4095u, 4096u, 4097u, 12345u}) {
+      const auto* p = hbm.allocBytes(bytes, align);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
+          << "bytes=" << bytes << " align=" << align;
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    auto span = hbm.alloc<std::uint16_t>(3 + i);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(span.data()) % 64, 0u);
+  }
+  EXPECT_DEATH(hbm.allocBytes(64, 2 * Hbm::kMaxAlign), "alignment");
+}
+
+TEST(HbmTest, AllocationsReadZero) {
+  const auto allZero = [](const std::byte* p, std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (p[i] != std::byte{0}) return false;
+    }
+    return true;
+  };
+  constexpr std::uint64_t kSizes[] = {64, 4096, 3_MiB + 8};
+  {
+    Hbm hbm(16_MiB);
+    for (std::uint64_t n : kSizes) {
+      std::byte* p = hbm.allocBytes(n);
+      EXPECT_TRUE(allZero(p, n)) << "bytes=" << n;
+      std::memset(p, 0xa5, n);
+    }
+  }
+  // A second arena in the same process must not see the first one's bytes.
+  Hbm hbm(16_MiB);
+  for (std::uint64_t n : kSizes) {
+    EXPECT_TRUE(allZero(hbm.allocBytes(n), n)) << "bytes=" << n;
+  }
+}
+
+TEST(HbmTest, AllocationIsNotResident) {
+#ifdef AGILE_TEST_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime intercepts mmap and owns shadow "
+                  "memory, so RSS does not measure the allocation";
+#endif
+  const auto maxRssKiB = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;  // KiB on Linux
+  };
+  const long before = maxRssKiB();
+  Hbm hbm(4_GiB);
+  std::byte* p = hbm.allocBytes(1_GiB);
+  p[0] = std::byte{1};  // touching one page backs one page
+  EXPECT_LT(maxRssKiB() - before, static_cast<long>(32_MiB / 1_KiB));
 }
 
 TEST(RegModelTest, Figure12Ordering) {
