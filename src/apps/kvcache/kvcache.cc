@@ -1,6 +1,7 @@
 #include "apps/kvcache/kvcache.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "apps/accessor.h"
 #include "common/check.h"
@@ -11,6 +12,9 @@ namespace {
 // Sentinel chunk key: chunk is private and unregistered (hash collision or
 // non-prompt decode chunk).
 constexpr std::uint64_t kNoKey = UINT64_MAX;
+
+// Decode steps each sequence runs per kernel launch.
+constexpr std::uint32_t kStepsPerRound = 4;
 
 bool prefixMatches(const std::vector<std::uint32_t>& prefix,
                    const std::vector<std::uint32_t>& prompt, std::size_t len) {
@@ -86,15 +90,28 @@ KvServer::KvServer(core::AgileHost& host, core::DefaultCtrl& ctrl,
   AGILE_CHECK(cfg_.numLayers > 0 &&
               cfg_.numLayers <= core::IoBatch::kMaxEntries);
   AGILE_CHECK(cfg_.maxBatch > 0 && cfg_.poolBlocks > 0);
-  auto& hbm = host.gpu().hbm();
+  // Every slot page (per-layer tails, then the shared-read ring) is carved
+  // from one HBM allocation: each allocation is a mapping of its own.
+  const std::uint32_t ring = ringPages();
+  std::byte* page = host.gpu().hbm().allocBytes(
+      std::uint64_t{cfg_.maxBatch} * (cfg_.numLayers + ring) *
+      nvme::kLbaBytes);
+  const auto nextPage = [&page] {
+    return std::exchange(page, page + nvme::kLbaBytes);
+  };
   slots_.reserve(cfg_.maxBatch);
   for (std::uint32_t i = 0; i < cfg_.maxBatch; ++i) {
     auto s = std::make_unique<Seq>();
     s->tailBufs = std::make_unique<core::AgileBuf[]>(cfg_.numLayers);
     for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
-      s->tailBufs[l].bind(hbm.allocBytes(nvme::kLbaBytes));
+      s->tailBufs[l].bind(nextPage());
     }
-    s->shareBuf.bind(hbm.allocBytes(nvme::kLbaBytes));
+    s->ring = std::make_unique<core::AgileBuf[]>(ring);
+    s->ringPtrs.resize(ring);
+    for (std::uint32_t r = 0; r < ring; ++r) {
+      s->ring[r].bind(nextPage());
+      s->ringPtrs[r].bindOwn(s->ring[r]);
+    }
     slots_.push_back(std::move(s));
   }
 }
@@ -165,7 +182,6 @@ bool KvServer::admitOne(KvRequest&& req) {
   slot->specTokens.clear();
   slot->stats = {};
   slot->stats.id = slot->req.id;
-  slot->stats.promptTokens = promptLen;
   slot->stats.admitNs = host_->engine().now();
 
   for (std::uint32_t c = 0; c < promptChunks; ++c) {
@@ -216,7 +232,7 @@ void KvServer::releaseSeqBlocks(Seq& s) {
   for (std::uint32_t c = 0; c < chunks; ++c) {
     const bool indexed = c < s.promptChunks && s.chunkKeys[c] != kNoKey;
     for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
-      if (pool_.release(s.blocks[l][c])) ++stats_.blocksFreed;
+      pool_.release(s.blocks[l][c]);
     }
     if (indexed) {
       auto it = prefixIndex_.find(s.chunkKeys[c]);
@@ -276,7 +292,7 @@ bool KvServer::run() {
             co_return;  // decode starts next round: prefix writes by other
                         // sequences this round are then on flash for sure
           }
-          for (std::uint32_t i = 0; i < cfg_.stepsPerRound && !s.done; ++i) {
+          for (std::uint32_t i = 0; i < kStepsPerRound && !s.done; ++i) {
             co_await decodeStep(ctx, s, chain);
           }
         });
@@ -359,15 +375,22 @@ gpu::GpuTask<void> KvServer::prefillSeq(gpu::KernelCtx& ctx, Seq& s,
   stats_.prefillTokens += promptLen;
 }
 
-gpu::GpuTask<std::uint64_t> KvServer::readSharedChunk(
-    gpu::KernelCtx& ctx, Seq& s, std::uint32_t block,
-    core::AgileLockChain& chain) {
-  // Method-2 read so concurrent readers of the same prefix block are
-  // deduplicated by the Share Table (peer-buffer redirect) instead of each
-  // paying an SSD read or a cache slot.
-  core::AgileBufPtr ptr(s.shareBuf);
-  co_await ctrl_->asyncRead(ctx, cfg_.dev, blockLba(block), ptr, chain,
-                            s.req.tenant);
+// Method-2 read of the layer's i-th shared block into ring page
+// i % ringPages(), so concurrent readers of the same prefix block are
+// deduplicated by the Share Table (peer-buffer redirect) instead of each
+// paying an SSD read or a cache slot.
+gpu::GpuTask<void> KvServer::issueShared(gpu::KernelCtx& ctx, Seq& s,
+                                         std::size_t i,
+                                         core::AgileLockChain& chain) {
+  co_await ctrl_->asyncRead(ctx, cfg_.dev, blockLba(s.sharedBlocks[i]),
+                            s.ringPtrs[i % ringPages()], chain, s.req.tenant);
+}
+
+// Wait for the layer's i-th shared read, sum its head words, and hand its
+// ring page back (after any peer reading through it has detached).
+gpu::GpuTask<std::uint64_t> KvServer::drainShared(
+    gpu::KernelCtx& ctx, Seq& s, std::size_t i, core::AgileLockChain& chain) {
+  core::AgileBufPtr& ptr = s.ringPtrs[i % ringPages()];
   const bool ok = co_await ctrl_->waitBuf(ctx, ptr);
   AGILE_CHECK_MSG(ok, "kv shared block read failed");
   const auto* words = ptr.as<const std::uint64_t>();
@@ -379,7 +402,8 @@ gpu::GpuTask<std::uint64_t> KvServer::readSharedChunk(
   if (ptr.isShared()) {
     co_await ctrl_->releaseBuf(ctx, ptr, chain);
   } else {
-    co_await ctrl_->releaseOwned(ctx, cfg_.dev, blockLba(block), ptr, chain);
+    co_await ctrl_->releaseOwned(ctx, cfg_.dev, blockLba(s.sharedBlocks[i]),
+                                 ptr, chain);
   }
   ++stats_.sharedReads;
   co_return sum;
@@ -388,7 +412,6 @@ gpu::GpuTask<std::uint64_t> KvServer::readSharedChunk(
 void KvServer::sweepSpeculative(gpu::KernelCtx& ctx, Seq& s) {
   for (const core::IoToken& t : s.specTokens) {
     if (ctrl_->cancel(ctx, t)) {
-      ++s.stats.cancelledPrefetches;
       ++stats_.speculativeCancelled;
     } else {
       ctrl_->retire(t);  // already fired / demand-attached: let it land
@@ -442,23 +465,36 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
       }
     }
     std::uint64_t layerSum = 0;
+    s.sharedBlocks.clear();
     s.gatherIdx.clear();
     for (std::uint32_t c = 0; c < chunks; ++c) {
       const std::uint32_t b = s.blocks[l][c];
       if (pool_.refOf(b) > 1) {
         // Prefix-shared with a live peer: go through the Share Table.
-        layerSum += co_await readSharedChunk(ctx, s, b, chain);
+        s.sharedBlocks.push_back(b);
       } else {
         for (std::uint32_t slot = 0; slot < tpb; ++slot) {
           s.gatherIdx.push_back(headElem(b, slot));
         }
       }
     }
+    // Fill the ring with shared reads, gather the private chunks while they
+    // are in flight, then drain the ring in order, refilling each drained
+    // page with the next shared chunk.
+    const std::size_t shared = s.sharedBlocks.size();
+    std::size_t issued = 0;
+    for (; issued < std::min<std::size_t>(shared, ringPages()); ++issued) {
+      co_await issueShared(ctx, s, issued, chain);
+    }
     if (!s.gatherIdx.empty()) {
       s.gatherOut.resize(s.gatherIdx.size());
       co_await acc.gather(ctx, s.gatherIdx, s.gatherOut, chain,
-                          cfg_.gatherDepth);
+                          cfg_.gatherDepth * tpb);
       for (const std::uint64_t v : s.gatherOut) layerSum += v;
+    }
+    for (std::size_t i = 0; i < shared; ++i) {
+      layerSum += co_await drainShared(ctx, s, i, chain);
+      if (issued < shared) co_await issueShared(ctx, s, issued++, chain);
     }
     // Unflushed tail tokens live in HBM: plain word reads.
     const auto* tail =

@@ -7,7 +7,10 @@
 //     speculative deferred prefetch of layer L+1's first pages   (PR-3 path)
 //     attention = sum over past tokens of their KV head word
 //       - prefix-shared blocks  -> asyncRead + Share Table (peer redirect)
-//       - private flushed blocks-> AgileAccessor::gather (depth-K pipeline)
+//         into a ring of gatherDepth landing pages: up to K reads in
+//         flight, drained in chunk order, each drained slot refilled
+//       - private flushed blocks-> AgileAccessor::gather, run while the
+//         shared reads are in flight (gatherDepth pages ahead)
 //       - unflushed tail tokens -> HBM, plain word reads
 //   sample next token; before the EOS check, deferred-prefetch the next
 //   step's layer-0 pages — on EOS every still-deferred prefetch is
@@ -19,6 +22,7 @@
 // returns one stale or torn word, the generated token stream diverges.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -85,8 +89,10 @@ struct KvConfig {
   std::uint32_t dev = 0;
   std::uint32_t maxBatch = 8;        // concurrently decoding sequences
   std::uint32_t poolBlocks = 4096;   // flash blocks backing the paged KV
-  std::uint32_t gatherDepth = 8;     // depth-K attention gather pipeline
-  std::uint32_t stepsPerRound = 4;   // decode steps per kernel launch
+  // KV pages in flight per sequence on both read paths: the shared-chunk
+  // landing ring holds this many pages (one when 0), and the private gather
+  // prefetches this many pages ahead (synchronous when 0).
+  std::uint32_t gatherDepth = 8;
   std::uint32_t vocab = 32000;
   bool speculativePrefetch = true;
   SimTime speculativeDelayNs = 1500;  // deferred-issue cancellation window
@@ -118,11 +124,9 @@ struct KvRequest {
 
 struct KvRequestStats {
   std::uint64_t id = 0;
-  std::uint32_t promptTokens = 0;
   std::uint32_t generatedTokens = 0;
   std::uint32_t sharedBlocks = 0;  // blocks reused from the prefix index
   std::uint32_t newBlocks = 0;     // blocks this request allocated
-  std::uint32_t cancelledPrefetches = 0;
   SimTime admitNs = 0;
   SimTime firstTokenNs = 0;
   SimTime doneNs = 0;
@@ -137,7 +141,6 @@ struct KvServerStats {
   std::uint64_t prefillTokens = 0;
   std::uint64_t blocksAllocated = 0;
   std::uint64_t blocksShared = 0;   // per-layer blocks attached via the index
-  std::uint64_t blocksFreed = 0;
   std::uint64_t prefixChunkHits = 0;
   std::uint64_t prefixChunkMisses = 0;
   std::uint64_t sharedReads = 0;    // Share-Table-path block reads
@@ -217,8 +220,9 @@ class KvServer {
     std::uint32_t refs = 0;
   };
 
-  // One active sequence slot. HBM pages (per-layer tails + the Share-Table
-  // read buffer) are allocated once per slot and reused across requests.
+  // One active sequence slot. HBM pages (per-layer tails + the shared-read
+  // ring) are carved once from one server-wide allocation and reused across
+  // requests.
   struct Seq {
     bool active = false;
     bool needsPrefill = true;
@@ -236,13 +240,18 @@ class KvServer {
     std::uint32_t promptChunks = 0;          // chunks registered in the index
     // One page per layer; AgileBuf is non-movable, so a fixed array.
     std::unique_ptr<core::AgileBuf[]> tailBufs;
-    core::AgileBuf shareBuf;                 // asyncRead landing page
+    // Shared-chunk landing ring: the layer's i-th shared read lands in page
+    // i % ringPages() through handle ringPtrs[i % ringPages()].
+    std::unique_ptr<core::AgileBuf[]> ring;
+    std::vector<core::AgileBufPtr> ringPtrs;
+    std::vector<std::uint32_t> sharedBlocks;  // this layer's shared chunks
     std::vector<core::IoToken> specTokens;   // outstanding deferred prefetches
     std::vector<std::uint64_t> gatherIdx;    // scratch for the gather path
     std::vector<std::uint64_t> gatherOut;
     KvRequestStats stats;
   };
 
+  std::uint32_t ringPages() const { return std::max(cfg_.gatherDepth, 1u); }
   std::uint64_t blockLba(std::uint32_t block) const { return block; }
   std::uint64_t headElem(std::uint32_t block, std::uint32_t slot) const {
     return blockLba(block) * cfg_.wordsPerPage() +
@@ -266,9 +275,11 @@ class KvServer {
                                    core::AgileLockChain& chain);
   gpu::GpuTask<void> flushTails(gpu::KernelCtx& ctx, Seq& s,
                                 core::AgileLockChain& chain);
-  gpu::GpuTask<std::uint64_t> readSharedChunk(gpu::KernelCtx& ctx, Seq& s,
-                                              std::uint32_t block,
-                                              core::AgileLockChain& chain);
+  gpu::GpuTask<void> issueShared(gpu::KernelCtx& ctx, Seq& s, std::size_t i,
+                                 core::AgileLockChain& chain);
+  gpu::GpuTask<std::uint64_t> drainShared(gpu::KernelCtx& ctx, Seq& s,
+                                          std::size_t i,
+                                          core::AgileLockChain& chain);
   void sweepSpeculative(gpu::KernelCtx& ctx, Seq& s);
 
   core::AgileHost* host_;

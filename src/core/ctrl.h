@@ -271,16 +271,22 @@ class AgileCtrl {
 
   // Owner-side release, keyed by the page the buffer holds. If sharers are
   // still attached to this buffer the owner parks until they detach, so the
-  // buffer memory is safe to reuse the moment this returns.
+  // buffer memory is safe to reuse the moment this returns. A buffer whose
+  // read resolved from the cache or a BUSY line owns no entry: a peer's
+  // entry for the same page is left alone (its DMA may still be in flight).
   gpu::GpuTask<void> releaseOwned(gpu::KernelCtx& ctx, std::uint32_t dev,
                                   std::uint64_t lba, AgileBufPtr& buf,
                                   AgileLockChain& chain) {
     if constexpr (Share::kEnabled) {
       const std::uint64_t tag = makeTag(dev, lba);
-      ShareEntry* e = share_.find(tag);
+      const auto ownEntry = [&] {
+        ShareEntry* e = share_.find(tag);
+        return e != nullptr && e->buf == buf.own() ? e : nullptr;
+      };
+      ShareEntry* e = ownEntry();
       while (e != nullptr && e->refCount > 1) {
         co_await ctx.parkOn(e->drainWaiters);
-        e = share_.find(tag);
+        e = ownEntry();
       }
       if (e != nullptr) {
         AGILE_CHECK(buf.active()->barrier().ready());

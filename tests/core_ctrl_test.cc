@@ -312,6 +312,39 @@ TEST_F(CtrlFixture, ModifiedShareePropagatesOnRelease) {
   EXPECT_EQ(ctrl->shareTable().stats().propagations, 1u);
 }
 
+// releaseOwned() with a buffer that owns no entry for the page (its read
+// resolved from the cache or a BUSY line) must leave a peer's owner entry
+// alone: erasing it while the peer's DMA is in flight would drop the
+// owner's registration and dangle any attached holder's entry pointer.
+TEST_F(CtrlFixture, ReleaseOwnedSparesPeerEntry) {
+  build();
+  auto* memPeer = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  auto* memOther = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  AgileBuf peer(memPeer), other(memOther);
+  const std::uint64_t tag = makeTag(0, 7);
+  bool survived = false;
+  AgileBuf* entryBuf = nullptr;
+  std::size_t afterPeer = 1;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "spare"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        AgileBufPtr peerPtr(peer);
+        co_await ctrl->asyncRead(ctx, 0, 7, peerPtr, chain);  // miss: owner
+        AgileBufPtr otherPtr(other);  // never read page 7
+        co_await ctrl->releaseOwned(ctx, 0, 7, otherPtr, chain);
+        const ShareEntry* e = ctrl->shareTable().find(tag);
+        survived = e != nullptr;
+        entryBuf = survived ? e->buf : nullptr;
+        co_await ctrl->waitBuf(ctx, peerPtr);
+        co_await ctrl->releaseOwned(ctx, 0, 7, peerPtr, chain);
+        afterPeer = ctrl->shareTable().size();
+      }));
+  EXPECT_TRUE(survived);
+  EXPECT_EQ(entryBuf, &peer);
+  EXPECT_EQ(afterPeer, 0u);
+}
+
 TEST_F(CtrlFixture, AsyncWritePersistsAndKeepsCacheCoherent) {
   build();
   auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);

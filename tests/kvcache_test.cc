@@ -7,6 +7,7 @@
 // completion, deterministic rerun).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -131,6 +132,39 @@ TEST_F(KvFixture, PrefixShareAccounting) {
   }
   // Identical prompts decode identical streams, so both sequences' shared
   // reads stay in lockstep; the pool must drain completely either way.
+  EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
+}
+
+// Decode keeps a window of shared-chunk reads in flight per sequence
+// instead of awaiting each one. Reading shared chunks one at a time, the
+// device never sees more than one read per sequence or one prefill write
+// batch (numLayers pages) at once; the ring must push it past both.
+TEST_F(KvFixture, SharedReadsPipelinePerSequence) {
+  build(/*cacheLines=*/64);
+  KvConfig cfg;
+  cfg.maxBatch = 2;
+  cfg.poolBlocks = 512;
+  cfg.speculativePrefetch = false;  // only demand reads reach the device
+  KvServer server(*host, *ctrl, cfg);
+
+  Rng rng(91);
+  const auto prompt = makePrompt(rng, 64, cfg.vocab);  // 16 shared chunks
+  std::vector<KvRequest> reqs(2);
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    reqs[id].id = id;
+    reqs[id].prompt = prompt;
+    reqs[id].maxNewTokens = 3;  // no decode tail reaches a flush
+    server.enqueue(reqs[id]);
+  }
+  ASSERT_TRUE(server.run());
+
+  for (const KvRequestStats& st : server.retired()) {
+    EXPECT_EQ(st.generated, referenceDecode(cfg, reqs[st.id]).generated);
+  }
+  EXPECT_GT(server.stats().sharedReads, 0u);
+  EXPECT_GT(host->ssd(0).maxObservedOutstanding(),
+            std::max(cfg.numLayers, cfg.maxBatch));
+  EXPECT_EQ(ctrl->shareTable().size(), 0u);
   EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
 }
 

@@ -230,23 +230,28 @@ struct KvGeometry {
   std::uint64_t seed;
 };
 
-std::string kvGeomName(const ::testing::TestParamInfo<KvGeometry>& info) {
-  const auto& g = info.param;
+// (geometry, KvConfig::gatherDepth): depth 0 is the one-page ring with a
+// synchronous gather.
+using KvParam = std::tuple<KvGeometry, std::uint32_t>;
+
+std::string kvGeomName(const ::testing::TestParamInfo<KvParam>& info) {
+  const auto& [g, depth] = info.param;
   return "c" + std::to_string(g.cacheLines) + "_sh" +
-         std::to_string(g.cacheShards) + "_s" + std::to_string(g.seed);
+         std::to_string(g.cacheShards) + "_s" + std::to_string(g.seed) +
+         "_d" + std::to_string(depth);
 }
 
-class KvServerPropertyTest : public ::testing::TestWithParam<KvGeometry> {};
+class KvServerPropertyTest : public ::testing::TestWithParam<KvParam> {};
 
 // P1+P2+P3 at the application level: a seeded mix of admits (some attaching
 // to a shared-prefix pool, some allocating fresh blocks), random decode
 // budgets, and random early terminations driven through the full KvServer
-// loop. Whatever the cache size, shard count, or interleaving, every token
-// stream must match the DRAM reference and the drained system must hold no
-// BUSY line, no live token op, no share-table entry, no pinned staging
-// page, and no leaked pool block.
+// loop. Whatever the cache size, shard count, pipeline depth, or
+// interleaving, every token stream must match the DRAM reference and the
+// drained system must hold no BUSY line, no live token op, no share-table
+// entry, no pinned staging page, and no leaked pool block.
 TEST_P(KvServerPropertyTest, RandomServingPreservesInvariants) {
-  const KvGeometry g = GetParam();
+  const auto [g, depth] = GetParam();
   HostConfig cfg;
   cfg.queuePairsPerSsd = 4;
   cfg.queueDepth = 64;
@@ -263,6 +268,7 @@ TEST_P(KvServerPropertyTest, RandomServingPreservesInvariants) {
   apps::kv::KvConfig kcfg;
   kcfg.maxBatch = 3;
   kcfg.poolBlocks = 2048;
+  kcfg.gatherDepth = depth;
   apps::kv::KvServer server(host, ctrl, kcfg);
 
   Rng rng(g.seed);
@@ -319,10 +325,12 @@ TEST_P(KvServerPropertyTest, RandomServingPreservesInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, KvServerPropertyTest,
-    ::testing::Values(KvGeometry{8, 1, 101},    // brutal pressure, one shard
-                      KvGeometry{16, 1, 404},   // small, single shard
-                      KvGeometry{64, 4, 202},   // medium, sharded
-                      KvGeometry{512, 4, 303}), // roomy, sharded
+    ::testing::Combine(
+        ::testing::Values(KvGeometry{8, 1, 101},   // brutal pressure, 1 shard
+                          KvGeometry{16, 1, 404},  // small, single shard
+                          KvGeometry{64, 4, 202},  // medium, sharded
+                          KvGeometry{512, 4, 303}),  // roomy, sharded
+        ::testing::Values(0u, 1u, 3u, 8u)),
     kvGeomName);
 
 // P3 at the NVMe level: tiny queues + many threads + mixed read/write must
