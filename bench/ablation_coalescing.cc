@@ -1,8 +1,14 @@
 // Ablation (DESIGN.md §3): the two-level request-coalescing design of
-// §3.3.2. Disabling warp-level (first-level) coalescing forces every
-// duplicate page request through the software cache's critical section; the
-// cache still absorbs them (second level), but the serialized probes cost SM
-// time and the duplicate prefetch issues inflate I/O.
+// §3.3.2, on the async DLRM pipeline. Its gather-ahead probes every lookup
+// once through AgileCtrl::arrayReadOrFill. With warp-level (first-level)
+// coalescing, one leader per distinct page probes and shuffles the line to
+// its peers; without it, every duplicate lookup goes through the software
+// cache's critical section and the cache absorbs it (second level). The
+// probe convoy is charged per lane however many lanes of the warp probe
+// (KernelCtx::chargeSerialized), so coalescing mostly trades the peers'
+// probes for a match-any and a shuffle per lookup: the quick run favours
+// warp+cache (0.650 vs 0.683 ms/epoch), the full run is a near tie (0.629
+// vs 0.621).
 #include <cstdio>
 
 #include "apps/dlrm/dlrm.h"

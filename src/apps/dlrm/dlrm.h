@@ -5,13 +5,18 @@
 // synthesized per DESIGN.md with Criteo's 26 categorical features and a
 // Zipfian per-table row distribution, with a vocabulary mix of a few huge,
 // several medium, and many small tables. The embedding values themselves
-// come from the flash store's deterministic pattern (the timing path never
-// depends on them).
+// come from the flash store's deterministic pattern: the timing path never
+// depends on them, and every gathered word is checked against it host-side
+// (DlrmRunResult::wrongWords).
 //
 // Three execution modes mirror the paper's comparison:
 //   kBam        — BaM synchronous gather, then MLP (same epoch)
 //   kAgileSync  — AGILE array API gather, then MLP (same epoch)
-//   kAgileAsync — AGILE prefetch of epoch i+1 overlapped with MLP of epoch i
+//   kAgileAsync — AGILE gather-ahead of epoch i+1 overlapped with the MLP of
+//                 epoch i: one warp-coalesced probe per lookup reads the
+//                 cached rows and issues the fills of the rest
+//                 (AgileCtrl::arrayReadOrFill); a residual gather at the
+//                 start of epoch i+1 reads only the rows left pending.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +88,15 @@ struct DlrmRunResult {
   // Nonzero marks a degraded run: some gather I/O was given up on (watchdog
   // or retry-budget exhaustion), so the affected rows contributed defaults.
   std::uint64_t ioAborted = 0;
+  // Gathered words, over every epoch (warm-up included), that differ from
+  // the flash pattern of their element. Checked host-side, uncharged. Zero
+  // on a correct run; runs with ioAborted > 0 are exempt, since their
+  // aborted rows take default values (as do rows whose claim loop spent
+  // its retry budget, counted in the controllers' exhaustedRetries).
+  std::uint64_t wrongWords = 0;
+  // kAgileAsync: lookups of the timed epochs that the gather-ahead left
+  // pending, i.e. that the residual gather read through arrayRead.
+  std::uint64_t pendingSlots = 0;
 };
 
 enum class DlrmMode { kBam, kAgileSync, kAgileAsync };
@@ -92,8 +106,9 @@ enum class DlrmMode { kBam, kAgileSync, kAgileAsync };
 // 10,000-epoch runs measure); gathers go through `ctrl` (AGILE modes) or
 // `bamCtrl` (BaM mode) on `host`. AgileCtrlT is any AgileCtrl instantiation.
 // gatherDepth > 0 (AGILE modes only) pipelines each thread's embedding
-// gather with depth-K prefetch-ahead; 0 reproduces the paper's per-row
-// blocking gather exactly.
+// gather with depth-K prefetch-ahead (in kAgileAsync, over the residual
+// gather's pending rows); 0 reproduces the paper's per-row blocking gather
+// exactly.
 template <class AgileCtrlT>
 DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
                       DlrmTrace& trace, DlrmMode mode, AgileCtrlT* ctrl,
@@ -101,9 +116,8 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
                       std::uint32_t epochs, std::uint32_t warmupEpochs = 1,
                       std::uint32_t gatherDepth = 0);
 
-// Gather kernel body shared by the runners (declared here for tests).
-// Reads one word of each sample's embedding rows and charges the row-copy
-// cost; rows are translated to element indices of the embedding array.
+// Cost of copying the rest of a 128 B embedding row once its first word
+// (the one the gather reads and checks) is in hand.
 inline constexpr SimTime kEmbRowCopyNs = 20;
 
 }  // namespace agile::apps

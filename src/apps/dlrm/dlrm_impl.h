@@ -3,6 +3,9 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
+
+#include "nvme/flash_store.h"
 
 namespace agile::apps {
 namespace detail {
@@ -55,43 +58,58 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
 
   // Per-epoch row buffers (current and, for async, next).
   std::vector<std::uint64_t> cur = trace.epochRows(0, batch);
+  const std::size_t slots = cur.size();
+  // The gathered word of every (sample, table) slot of the epoch in flight,
+  // and (async) whether the gather-ahead left the slot for the residual
+  // gather. The MLP model consumes no values, so one array serves the
+  // epoch being gathered ahead and the one being computed.
+  std::vector<std::uint64_t> words(slots);
+  std::vector<std::uint8_t> pending(
+      mode == DlrmMode::kAgileAsync ? slots : 0);
 
   // Gather: one thread per sample; each reads its `tables` embedding rows.
-  // With gatherDepth > 0 (AGILE modes), each thread runs a depth-K pipeline
-  // over its own (sample, table) sequence: the page of the row `gatherDepth`
-  // positions ahead is prefetched while the current row is read, so the
-  // embedding gather overlaps SSD latency instead of blocking per row.
-  auto makeGather = [&](const std::vector<std::uint64_t>& rows) {
-    return [&, rowsPtr = rows.data()](
+  // With `pendingOnly` (the async residual gather) only the slots the
+  // gather-ahead left pending are read. With gatherDepth > 0 (AGILE modes),
+  // each thread runs a depth-K pipeline over its own (sample, table)
+  // sequence: the page of the row `gatherDepth` positions ahead is
+  // prefetched while the current row is read, so the embedding gather
+  // overlaps SSD latency instead of blocking per row.
+  auto makeGather = [&](const std::vector<std::uint64_t>& rows,
+                        bool pendingOnly) {
+    return [&, rowsPtr = rows.data(), pendingOnly](
                gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
       core::AgileLockChain chain;
       const std::uint32_t stride = ctx.gridDim() * ctx.blockDim();
+      const auto wanted = [&](std::size_t slot) {
+        return !pendingOnly || pending[slot] != 0;
+      };
       for (std::uint32_t s = ctx.globalThreadIdx(); s < batch; s += stride) {
         for (std::uint32_t t = 0; t < tables; ++t) {
-          ctx.charge(cost::kWordAccess);  // trace lookup
+          const std::size_t slot = std::size_t{s} * tables + t;
+          ctx.charge(cost::kWordAccess);  // trace lookup / pending flag
+          if (!wanted(slot)) continue;
           if (mode != DlrmMode::kBam && gatherDepth > 0) {
             // Lookahead position within this thread's gather sequence.
             const std::uint32_t tAhead = t + gatherDepth;
             const std::uint32_t sAhead = s + (tAhead / tables) * stride;
             if (sAhead < batch) {
               ctx.charge(cost::kWordAccess);  // lookahead trace lookup
-              const std::uint64_t rowAhead =
-                  rowsPtr[sAhead * tables + tAhead % tables];
-              co_await ctrl->prefetchDivergent(
-                  ctx, dev, detail::rowToLba(cfg, rowAhead), chain);
+              const std::size_t ahead =
+                  std::size_t{sAhead} * tables + tAhead % tables;
+              if (wanted(ahead)) {
+                co_await ctrl->prefetchDivergent(
+                    ctx, dev, detail::rowToLba(cfg, rowsPtr[ahead]), chain);
+              }
             }
           }
-          const std::uint64_t row = rowsPtr[s * tables + t];
-          const std::uint64_t elem = detail::rowToElem(cfg, row);
-          std::uint64_t word;
+          const std::uint64_t elem = detail::rowToElem(cfg, rowsPtr[slot]);
           if (mode == DlrmMode::kBam) {
-            word = co_await bamCtrl->template readElem<std::uint64_t>(
+            words[slot] = co_await bamCtrl->template readElem<std::uint64_t>(
                 ctx, dev, elem, chain);
           } else {
-            word = co_await ctrl->template arrayRead<std::uint64_t>(
+            words[slot] = co_await ctrl->template arrayRead<std::uint64_t>(
                 ctx, dev, elem, chain);
           }
-          (void)word;
           ctx.charge(kEmbRowCopyNs);  // rest of the 128 B row copy
         }
         co_await ctx.yield();
@@ -99,21 +117,43 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
     };
   };
 
-  // Prefetch of the next epoch (AGILE async only): warp-coalesced page
-  // prefetches into the software cache.
-  auto makePrefetch = [&](const std::vector<std::uint64_t>& rows) {
+  // Gather-ahead of the next epoch (AGILE async only), launched beside the
+  // MLP: one warp-coalesced probe per (sample, table) slot. A cached row is
+  // read now; anything else gets its fill issued (or rides one in flight)
+  // and is left pending for the residual gather.
+  auto makeGatherAhead = [&](const std::vector<std::uint64_t>& rows) {
     return [&, rowsPtr = rows.data()](
                gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
       core::AgileLockChain chain;
       const std::uint32_t stride = ctx.gridDim() * ctx.blockDim();
       for (std::uint32_t s = ctx.globalThreadIdx(); s < batch; s += stride) {
         for (std::uint32_t t = 0; t < tables; ++t) {
-          const std::uint64_t row = rowsPtr[s * tables + t];
-          co_await ctrl->prefetch(ctx, dev, detail::rowToLba(cfg, row), chain);
+          const std::size_t slot = std::size_t{s} * tables + t;
+          ctx.charge(cost::kWordAccess);  // trace lookup
+          const std::optional<std::uint64_t> word =
+              co_await ctrl->template arrayReadOrFill<std::uint64_t>(
+                  ctx, dev, detail::rowToElem(cfg, rowsPtr[slot]), chain);
+          pending[slot] = word ? 0 : 1;
+          if (word) {
+            words[slot] = *word;
+            ctx.charge(kEmbRowCopyNs);  // rest of the 128 B row copy
+          }
         }
         co_await ctx.yield();
       }
     };
+  };
+
+  // Host-side data check of a gathered epoch (uncharged): every word must be
+  // the flash pattern of its element.
+  std::uint64_t wrongWords = 0;
+  auto checkWords = [&](const std::vector<std::uint64_t>& rows) {
+    for (std::size_t i = 0; i < slots; ++i) {
+      const core::ElemAddr at =
+          core::elemAddr<std::uint64_t>(detail::rowToElem(cfg, rows[i]));
+      wrongWords += words[i] != nvme::FlashStore::patternWord(
+                                    at.lba, at.byteOff / sizeof(std::uint64_t));
+    }
   };
 
   // MLP: occupy every SM for the virtual GEMM duration.
@@ -128,12 +168,14 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
   SimTime start = engine.now();
 
   if (mode == DlrmMode::kAgileAsync) {
-    // Warm the pipeline: prefetch epoch 0, then steady-state overlap.
-    const bool ok = host.runKernel(detail::gatherLaunch(batch, "dlrm-prefetch"),
-                                   makePrefetch(cur));
-    AGILE_CHECK_MSG(ok, "dlrm prefetch hung");
+    // Warm the pipeline: gather ahead epoch 0, then steady-state overlap.
+    const bool ok = host.runKernel(
+        detail::gatherLaunch(batch, "dlrm-gather-ahead"),
+        makeGatherAhead(cur));
+    AGILE_CHECK_MSG(ok, "dlrm gather-ahead hung");
   }
 
+  std::uint64_t pendingSlots = 0;
   std::vector<std::uint64_t> next;
   for (std::uint32_t e = 0; e < totalEpochs; ++e) {
     if (e == warmupEpochs) {
@@ -142,25 +184,32 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
       snapshotStats();
     }
     if (mode == DlrmMode::kAgileAsync) {
-      // gather(e) — mostly cache hits from the e-prefetch.
+      // Residual gather(e): only the rows gather-ahead(e) left pending.
       AGILE_CHECK(host.runKernel(detail::gatherLaunch(batch, "dlrm-gather"),
-                                 makeGather(cur)));
-      // Overlap: MLP(e) computes while prefetch(e+1) streams.
+                                 makeGather(cur, /*pendingOnly=*/true)));
+      checkWords(cur);
+      if (e >= warmupEpochs) {
+        pendingSlots += static_cast<std::uint64_t>(
+            std::count(pending.begin(), pending.end(), std::uint8_t{1}));
+      }
+      // Overlap: MLP(e) computes while gather-ahead(e+1) probes and streams.
       auto mlp = host.launchKernel(mlpLaunch, mlpKernel);
-      gpu::KernelHandle pf;
+      gpu::KernelHandle ahead;
       if (e + 1 < totalEpochs) {
         next = trace.epochRows(e + 1, batch);
-        pf = host.launchKernel(detail::gatherLaunch(batch, "dlrm-prefetch"),
-                               makePrefetch(next));
+        ahead = host.launchKernel(
+            detail::gatherLaunch(batch, "dlrm-gather-ahead"),
+            makeGatherAhead(next));
       }
       AGILE_CHECK(host.wait(mlp));
-      if (pf) AGILE_CHECK(host.wait(pf));
+      if (ahead) AGILE_CHECK(host.wait(ahead));
       if (e + 1 < totalEpochs) cur = next;
     } else {
       // Synchronous epoch: fetch, then compute (§4.4: "request data and
       // perform computation on the requested data within the same epoch").
       AGILE_CHECK(host.runKernel(detail::gatherLaunch(batch, "dlrm-gather"),
-                                 makeGather(cur)));
+                                 makeGather(cur, /*pendingOnly=*/false)));
+      checkWords(cur);
       AGILE_CHECK(host.runKernel(mlpLaunch, mlpKernel));
       if (e + 1 < totalEpochs) cur = trace.epochRows(e + 1, batch);
     }
@@ -179,6 +228,8 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
     res.cacheMisses = ctrl->cache().stats().misses - missesBefore;
   }
   res.ioAborted = host.ioTimeouts() + host.ioHealth().aborted - abortsBefore;
+  res.wrongWords = wrongWords;
+  res.pendingSlots = pendingSlots;
   return res;
 }
 

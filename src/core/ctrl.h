@@ -19,16 +19,18 @@
 // potentially-stalling calls are coroutines: a simulated GPU thread composes
 // them with co_await exactly where a CUDA thread would block or poll.
 //
-// Request coalescing is two-level (§3.3.2): prefetch and the coalesced array
-// read use warp match-any to elect one leader per distinct page, and the
-// software cache's BUSY state absorbs the rest (second level). asyncRead
-// performs no warp-level coalescing, matching the paper; duplicates are
-// caught by the Share Table and the cache only.
+// Request coalescing is two-level (§3.3.2): prefetch, the coalesced array
+// read and the read-if-cached array read use warp match-any to elect one
+// leader per distinct page, and the software cache's BUSY state absorbs the
+// rest (second level). asyncRead performs no warp-level coalescing, matching
+// the paper; duplicates are caught by the Share Table and the cache only.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "core/barrier.h"
@@ -391,6 +393,67 @@ class AgileCtrl {
     co_return out;
   }
 
+  // Read if cached, else fill: the element when its page is READY in the
+  // software cache, nothing otherwise. A miss claims the line and issues its
+  // fill, bounded exactly like prefetch(); a BUSY line already has its fill
+  // in flight. Either way the caller reads the element later (arrayRead).
+  // With cfg.warpCoalescing one leader per distinct page probes and shuffles
+  // the line index to its peers, so lanes must be converged.
+  template <class T>
+  gpu::GpuTask<std::optional<T>> arrayReadOrFill(gpu::KernelCtx& ctx,
+                                                 std::uint32_t dev,
+                                                 std::uint64_t elemIdx,
+                                                 AgileLockChain& chain) {
+    ++stats_.prefetches;
+    ElemAddr at = elemAddr<T>(elemIdx);
+    at.dev = dev;
+    AGILE_CHECK_MSG(at.byteOff + sizeof(T) <= nvme::kLbaBytes,
+                    "element straddles SSD pages");
+    const std::uint64_t tag = makeTag(dev, at.lba);
+    std::uint32_t leader = ctx.laneId();
+    if (cfg_.warpCoalescing) {
+      ctx.charge(cost::kCoalesceMatch);
+      const std::uint32_t peers = co_await gpu::warpMatchAny(ctx, tag);
+      leader = static_cast<std::uint32_t>(std::countr_zero(peers));
+    }
+    std::uint32_t hitLine = Cache::npos;
+    if (ctx.laneId() == leader) {
+      std::uint32_t line = 0;
+      switch (co_await claimLine(ctx, tag, chain, kPrefetchClaimBudget,
+                                 &line)) {
+        case ClaimResult::kHit:
+          hitLine = line;
+          break;
+        case ClaimResult::kBusy:
+          break;
+        case ClaimResult::kClaimed:
+          co_await issueFill(ctx, dev, at.lba, cache_.line(line), chain);
+          break;
+        case ClaimResult::kExhausted:
+          ++stats_.prefetchDropped;
+          break;
+      }
+    } else {
+      ++stats_.prefetchCoalesced;
+    }
+    if (cfg_.warpCoalescing) {
+      hitLine = static_cast<std::uint32_t>(
+          co_await gpu::warpShfl(ctx, hitLine, leader));
+    }
+    if (hitLine == Cache::npos) co_return std::nullopt;
+    // The line may have been evicted, or refilled for another page, while
+    // this lane was suspended since the leader's probe: re-check it.
+    const CacheLine& l = cache_.line(hitLine);
+    if (l.tag != tag ||
+        (l.state != LineState::kReady && l.state != LineState::kModified)) {
+      co_return std::nullopt;
+    }
+    ctx.charge(cache_.costs().word);
+    T v;
+    std::memcpy(&v, l.data + at.byteOff, sizeof(T));
+    co_return v;
+  }
+
   // Synchronous element store (read-modify-write through the cache; the
   // line turns MODIFIED and is written back on eviction).
   template <class T>
@@ -507,7 +570,8 @@ class AgileCtrl {
     const std::uint64_t tag = makeTag(dev, lba);
     std::uint32_t line = 0;
     switch (co_await claimLine(ctx, tag, chain, kPrefetchClaimBudget, &line)) {
-      case ClaimResult::kPresent:
+      case ClaimResult::kHit:
+      case ClaimResult::kBusy:
         // Already present or in flight: nothing to do, nothing to cancel.
         ops_.finish(*ops_.get(t), IoStatus::kDone, host_->engine());
         co_return t;
@@ -745,7 +809,8 @@ class AgileCtrl {
         bounded ? kPrefetchClaimBudget : cfg_.maxArrayRetries;
     std::uint32_t line = 0;
     switch (co_await claimLine(ctx, tag, chain, budget, &line)) {
-      case ClaimResult::kPresent:
+      case ClaimResult::kHit:
+      case ClaimResult::kBusy:
         co_return;  // already present or in flight (second-level coalesce)
       case ClaimResult::kClaimed:
         co_await issueFill(ctx, dev, lba, cache_.line(line), chain);
@@ -847,7 +912,8 @@ class AgileCtrl {
   static constexpr std::uint32_t kPrefetchClaimBudget = 64;
 
   enum class ClaimResult : std::uint8_t {
-    kPresent,    // hit or fill already in flight (second-level coalesce)
+    kHit,        // READY or MODIFIED: *outLine holds the data now
+    kBusy,       // fill already in flight (second-level coalesce)
     kClaimed,    // *outLine claimed BUSY for this tag; caller owns the fill
     kExhausted,  // retry budget spent with every candidate BUSY
   };
@@ -860,12 +926,25 @@ class AgileCtrl {
                                       AgileLockChain& chain,
                                       std::uint32_t budget,
                                       std::uint32_t* outLine) {
+    // A line leaving BUSY admits one stalled claimant of its shard
+    // (CacheLine::stallWaiters). An admitted claimant that takes no line,
+    // because its page turned up present or its budget ran out, hands the
+    // admission on; otherwise the shard's other stalled claimants could
+    // sleep beside READY lines forever.
+    bool admitted = false;
     for (std::uint32_t attempt = 0; attempt < budget; ++attempt) {
       const ProbeResult r = cache_.probeOrClaim(ctx, tag);
+      if (std::exchange(admitted, false) &&
+          (r.outcome == ProbeOutcome::kHit ||
+           r.outcome == ProbeOutcome::kBusy)) {
+        cache_.stallWaiters(r.shard).notifyOne(host_->engine());
+      }
       switch (r.outcome) {
         case ProbeOutcome::kHit:
+          *outLine = r.line;
+          co_return ClaimResult::kHit;
         case ProbeOutcome::kBusy:
-          co_return ClaimResult::kPresent;
+          co_return ClaimResult::kBusy;
         case ProbeOutcome::kClaimed:
           *outLine = r.line;
           co_return ClaimResult::kClaimed;
@@ -876,8 +955,12 @@ class AgileCtrl {
           // Every candidate line is BUSY: park until a completion frees one
           // (timed backoff would melt down under cache thrash, §4.4/Fig 10).
           co_await ctx.parkOn(cache_.stallWaiters(r.shard));
+          admitted = true;
           break;
       }
+    }
+    if (admitted) {
+      cache_.stallWaiters(cache_.shardOfTag(tag)).notifyOne(host_->engine());
     }
     co_return ClaimResult::kExhausted;
   }
@@ -1001,7 +1084,8 @@ class AgileCtrl {
     std::uint32_t lineIdx = 0;
     switch (co_await claimLine(ctx, tag, chain, kPrefetchClaimBudget,
                                &lineIdx)) {
-      case ClaimResult::kPresent:
+      case ClaimResult::kHit:
+      case ClaimResult::kBusy:
         co_return false;  // present or in flight: coalesced
       case ClaimResult::kClaimed: {
         CacheLine& line = cache_.line(lineIdx);

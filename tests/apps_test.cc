@@ -395,10 +395,14 @@ TEST(DlrmTraceTest, SkewProducesReuse) {
 }
 
 struct DlrmPipelineFixture : ::testing::Test {
+  // AGILE modes: the controller's stats at the end of the last run.
+  core::CtrlStats ctrlStats;
+
   // Small-but-real end-to-end pipeline for each mode.
   DlrmRunResult run(DlrmMode mode, std::uint32_t gatherDepth = 0,
                     std::uint32_t cacheLines = 1024,
-                    std::uint32_t batch = 512, double zipfTheta = 1.2) {
+                    std::uint32_t batch = 512, double zipfTheta = 1.2,
+                    std::uint32_t warmupEpochs = 1) {
     core::HostConfig hcfg;
     hcfg.queuePairsPerSsd = 8;
     hcfg.queueDepth = 64;
@@ -418,8 +422,9 @@ struct DlrmPipelineFixture : ::testing::Test {
     core::DefaultCtrl ctrl(host, core::CtrlConfig{.cacheLines = cacheLines});
     host.startAgile();
     auto res = runDlrm(host, cfg, trace, mode, &ctrl, nullptr, batch, 4,
-                       /*warmupEpochs=*/1, gatherDepth);
+                       warmupEpochs, gatherDepth);
     host.stopAgile();
+    ctrlStats = ctrl.stats();
     return res;
   }
 };
@@ -429,18 +434,51 @@ TEST_F(DlrmPipelineFixture, BamCompletes) {
   EXPECT_GT(r.totalNs, 0);
   EXPECT_GT(r.ssdReads, 0u);
   EXPECT_GT(r.cacheHits, 0u);
+  EXPECT_EQ(r.ioAborted, 0u);
+  EXPECT_EQ(r.wrongWords, 0u);
 }
 
 TEST_F(DlrmPipelineFixture, AgileSyncCompletes) {
   auto r = run(DlrmMode::kAgileSync);
   EXPECT_GT(r.totalNs, 0);
   EXPECT_GT(r.ssdReads, 0u);
+  EXPECT_EQ(r.ioAborted, 0u);
+  EXPECT_EQ(r.wrongWords, 0u);
 }
 
 TEST_F(DlrmPipelineFixture, AgileAsyncCompletes) {
   auto r = run(DlrmMode::kAgileAsync);
   EXPECT_GT(r.totalNs, 0);
   EXPECT_GT(r.ssdReads, 0u);
+  EXPECT_EQ(r.ioAborted, 0u);
+  EXPECT_EQ(r.wrongWords, 0u);
+}
+
+TEST_F(DlrmPipelineFixture, AgileAsyncThrashingCacheReadsFlashWords) {
+  // A cache far smaller than one epoch's pages: lines the gather-ahead hit
+  // are evicted under it, so only its re-check keeps stale words out.
+  for (std::uint32_t lines : {16u, 64u}) {
+    auto r = run(DlrmMode::kAgileAsync, 0, /*cacheLines=*/lines,
+                 /*batch=*/128);
+    EXPECT_EQ(r.ioAborted, 0u) << lines << " lines";
+    EXPECT_EQ(r.wrongWords, 0u) << lines << " lines";
+  }
+}
+
+TEST_F(DlrmPipelineFixture, AgileAsyncReadsOnlyPendingSlots) {
+  // The residual gather reads through arrayRead exactly the lookups the
+  // gather-ahead left pending; with no warm-up epoch every epoch is timed.
+  // (A gather that re-read every lookup would make batch x tables x epochs
+  // array reads.)
+  constexpr std::uint32_t kBatch = 512;
+  auto r = run(DlrmMode::kAgileAsync, 0, 1024, kBatch, 1.2,
+               /*warmupEpochs=*/0);
+  const std::uint64_t lookups = std::uint64_t{kBatch} * 26 * 4;
+  EXPECT_EQ(ctrlStats.arrayReads, r.pendingSlots);
+  EXPECT_GT(r.pendingSlots, 0u);
+  EXPECT_LT(r.pendingSlots, lookups / 2);
+  EXPECT_EQ(ctrlStats.prefetches, lookups);
+  EXPECT_EQ(r.wrongWords, 0u);
 }
 
 TEST_F(DlrmPipelineFixture, AgileSyncPipelinedGatherWinsWhenMissBound) {
@@ -456,6 +494,8 @@ TEST_F(DlrmPipelineFixture, AgileSyncPipelinedGatherWinsWhenMissBound) {
   EXPECT_GT(piped.totalNs, 0);
   EXPECT_GT(piped.ssdReads, 0u);
   EXPECT_LT(piped.totalNs, sync.totalNs);
+  EXPECT_EQ(piped.ioAborted, 0u);
+  EXPECT_EQ(piped.wrongWords, 0u);
 }
 
 TEST_F(DlrmPipelineFixture, AgileBeatsBamAtThisScale) {

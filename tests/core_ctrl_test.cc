@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "bam/bam_ctrl.h"
@@ -18,8 +19,10 @@ struct CtrlFixture : ::testing::Test {
   std::unique_ptr<DefaultCtrl> ctrl;
 
   void build(std::uint32_t cacheLines = 64, std::uint32_t qps = 2,
-             std::uint32_t depth = 64, std::uint32_t ssds = 1) {
+             std::uint32_t depth = 64, std::uint32_t ssds = 1,
+             SimTime kernelTimeout = HostConfig{}.kernelTimeout) {
     HostConfig cfg;
+    cfg.kernelTimeout = kernelTimeout;
     cfg.queuePairsPerSsd = qps;
     cfg.queueDepth = depth;
     cfg.stagingPages = 64;
@@ -515,6 +518,152 @@ TEST_F(CtrlFixture, CoalescedReadDivergentValuesPerGroup) {
       }));
   EXPECT_TRUE(allMatch);
   EXPECT_EQ(host->ssd(0).readsCompleted(), 4u);
+}
+
+TEST_F(CtrlFixture, ReadOrFillHitReturnsWord) {
+  build();
+  std::optional<std::uint64_t> got;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "rof-hit"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 9 * 512, chain);
+        got = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 0,
+                                                            9 * 512 + 7, chain);
+      }));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, expectWord(9, 7));
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
+}
+
+TEST_F(CtrlFixture, ReadOrFillMissIssuesOneFill) {
+  build();
+  std::optional<std::uint64_t> got = 0;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "rof-miss"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        got = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 0,
+                                                            9 * 512 + 7, chain);
+      }));
+  EXPECT_FALSE(got.has_value());
+  ASSERT_TRUE(host->drainIo());
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
+  const std::uint32_t li = ctrl->cache().findLine(makeTag(0, 9));
+  ASSERT_NE(li, DefaultCtrl::Cache::npos);
+  EXPECT_EQ(ctrl->cache().line(li).state, LineState::kReady);
+}
+
+TEST_F(CtrlFixture, ReadOrFillBusyLineIssuesNoSecondRead) {
+  build();
+  std::optional<std::uint64_t> first = 0, second = 0;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "rof-busy"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        first = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 0, 9 * 512,
+                                                              chain);
+        // The fill is still in flight: the line is BUSY.
+        second = co_await ctrl->arrayReadOrFill<std::uint64_t>(
+            ctx, 0, 9 * 512 + 1, chain);
+      }));
+  EXPECT_FALSE(first.has_value());
+  EXPECT_FALSE(second.has_value());
+  ASSERT_TRUE(host->drainIo());
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
+  EXPECT_EQ(ctrl->cache().stats().misses, 1u);
+  EXPECT_EQ(ctrl->cache().stats().busyHits, 1u);
+}
+
+TEST_F(CtrlFixture, ReadOrFillCoalescesOnePageToOneProbe) {
+  build();
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "rof-warm"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 4 * 512, chain);
+      }));
+  ctrl->resetStats();
+  std::vector<std::optional<std::uint64_t>> got(32);
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 32, .name = "rof-warp"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        got[ctx.laneId()] = co_await ctrl->arrayReadOrFill<std::uint64_t>(
+            ctx, 0, 4 * 512 + ctx.laneId(), chain);
+      }));
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    ASSERT_TRUE(got[i].has_value()) << "lane " << i;
+    EXPECT_EQ(*got[i], expectWord(4, i)) << "lane " << i;
+  }
+  const CacheStats cs = ctrl->cache().stats();
+  EXPECT_EQ(cs.hits + cs.misses + cs.busyHits, 1u);
+  EXPECT_EQ(ctrl->stats().prefetches, 32u);
+  EXPECT_EQ(ctrl->stats().prefetchCoalesced, 31u);
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
+}
+
+TEST_F(CtrlFixture, ReadOrFillLineEvictedBeforePeerReadReturnsNothing) {
+  // Two lines, one shard. Page 1 is READY in one line; a speculative
+  // prefetch of page 2 holds the other BUSY for 1 ms. In one warp, lanes 0-1
+  // read page 1 (lane 0 leads and probes a hit), lane 2 misses page 3 and
+  // evicts page 1's line for its fill, and lane 3 misses page 4 with both
+  // lines BUSY, so it stalls until page 3 lands and then claims that line.
+  // Only then does the shuffle hand lane 0's line index to lane 1: the line
+  // now holds page 3's data under page 4's tag.
+  build(/*cacheLines=*/2);
+  ASSERT_EQ(ctrl->cache().shardCount(), 1u);
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "rof-setup"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 1 * 512, chain);
+        const IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 2, chain,
+                                                        /*delay=*/1_ms);
+        ctrl->retire(t);
+      }));
+  std::vector<std::optional<std::uint64_t>> got(4);
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 4, .name = "rof-evict"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        const std::uint32_t lane = ctx.laneId();
+        const std::uint64_t page = lane < 2 ? 1 : lane + 1;
+        got[lane] = co_await ctrl->arrayReadOrFill<std::uint64_t>(
+            ctx, 0, page * 512 + lane, chain);
+      }));
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    EXPECT_FALSE(got[lane].has_value()) << "lane " << lane;
+    if (got[lane].has_value() && lane < 2) {
+      EXPECT_EQ(*got[lane], expectWord(1, lane)) << "wrong word, lane " << lane;
+    }
+  }
+  ASSERT_TRUE(host->drainIo());
+}
+
+TEST_F(CtrlFixture, StalledClaimantFindingPagePresentHandsOnAdmission) {
+  // One line, BUSY with page 1's fill. Lanes 0 and 1 want page 2 and lane 2
+  // page 3; all three stall, in lane order. Page 1 landing admits lane 0,
+  // which claims the line for page 2; page 2 landing admits lane 1, which
+  // finds its page READY and takes no line. Unless lane 1 hands the
+  // admission on, lane 2 sleeps beside a READY line until the watchdog.
+  build(/*cacheLines=*/1, 2, 64, 1, /*kernelTimeout=*/10_ms);
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "stall-setup"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        co_await ctrl->prefetch(ctx, 0, 1, chain);
+      }));
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 3, .name = "stall-admit"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        co_await ctrl->prefetchDivergent(ctx, 0, ctx.laneId() < 2 ? 2 : 3,
+                                         chain);
+      }));
+  ASSERT_TRUE(host->drainIo());
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 3u);
+  EXPECT_EQ(ctrl->stats().prefetchDropped, 0u);
 }
 
 TEST_F(CtrlFixture, ElemAddrMatchesArrayMapping) {
