@@ -36,7 +36,6 @@ struct BamConfig {
   // (see core::SoftwareCache). BaM shares the sharded container, so the
   // baseline's heavier per-op costs stay comparable at scale.
   std::uint32_t cacheShards = 0;
-  std::uint32_t maxRetries = 100000;
 };
 
 struct BamStats {
@@ -44,7 +43,6 @@ struct BamStats {
   std::uint64_t writes = 0;
   std::uint64_t pollRounds = 0;
   std::uint64_t completionsDrained = 0;
-  std::uint64_t cqLockFails = 0;
   // Claim loops that spent their whole probe budget (degraded access: the
   // element read returns a default value / the write is dropped).
   std::uint64_t exhaustedRetries = 0;
@@ -57,7 +55,6 @@ class BamCtrl {
 
   BamCtrl(core::AgileHost& host, BamConfig cfg = {})
       : host_(&host),
-        cfg_(cfg),
         cache_(host.gpu().hbm(), cfg.cacheLines, core::bamCacheCosts(),
                cfg.cacheShards) {
     AGILE_CHECK_MSG(host.nvmeReady(), "BamCtrl requires initNvme()");
@@ -119,6 +116,10 @@ class BamCtrl {
   }
 
  private:
+  // Probe budget of acquireReadyLine; only a cache wedged by faults spends
+  // it, and the access then degrades (stats().exhaustedRetries).
+  static constexpr std::uint32_t kMaxClaimRounds = 100000;
+
   // Probe-or-fetch until the line for (dev, lba) is READY/MODIFIED; the
   // calling thread performs all completion processing itself.
   AGILE_NODISCARD("the returned line index is pinned for this access")
@@ -127,7 +128,7 @@ class BamCtrl {
                                                std::uint64_t lba,
                                                core::AgileLockChain& chain) {
     const std::uint64_t tag = core::makeTag(dev, lba);
-    for (std::uint32_t attempt = 0; attempt < cfg_.maxRetries; ++attempt) {
+    for (std::uint32_t attempt = 0; attempt < kMaxClaimRounds; ++attempt) {
       const core::ProbeResult r = cache_.probeOrClaim(ctx, tag);
       switch (r.outcome) {
         case core::ProbeOutcome::kHit:
@@ -226,7 +227,6 @@ class BamCtrl {
     core::AgileSq& sq = *qps.sqs[pairIdx];
 
     if (!cq.cqLock.tryAcquire(ctx, chain)) {
-      ++stats_.cqLockFails;
       ctx.charge(cost::kBamCqLockRetry);
       return;
     }
@@ -249,7 +249,6 @@ class BamCtrl {
   }
 
   core::AgileHost* host_;
-  BamConfig cfg_;
   Cache cache_;
   BamStats stats_;
 };

@@ -19,11 +19,16 @@
 // potentially-stalling calls are coroutines: a simulated GPU thread composes
 // them with co_await exactly where a CUDA thread would block or poll.
 //
-// Request coalescing is two-level (§3.3.2): prefetch, the coalesced array
-// read and the read-if-cached array read use warp match-any to elect one
-// leader per distinct page, and the software cache's BUSY state absorbs the
-// rest (second level). asyncRead performs no warp-level coalescing, matching
-// the paper; duplicates are caught by the Share Table and the cache only.
+// Request coalescing is two-level (§3.3.2): prefetch, the read-or-fill array
+// read and the prefetch entries of submitBatch use warp match-any
+// (warpLeader) to elect one leader per distinct page or batch, and the
+// software cache's BUSY state absorbs the rest (second level). asyncRead
+// performs no warp-level coalescing, matching the paper; duplicates are
+// caught by the Share Table and the cache only.
+//
+// Every cache access runs on one of two probe/claim loops: claimLine for
+// prefetch-flavoured callers and demandLine for the array API and Share-Table
+// propagation (see their comments for why they differ).
 #pragma once
 
 #include <bit>
@@ -73,8 +78,6 @@ struct CtrlConfig {
   // shard, i.e. the paper's fully-associative design).
   std::uint32_t cacheShards = 0;
   bool warpCoalescing = true;
-  CacheCosts cacheCosts = agileCacheCosts();
-  std::uint32_t maxArrayRetries = 100000;
   // Element->device striping for the array / accessor surface. The default
   // (devices = 1) is the paper's single-device layout; widening it deals
   // stripe units round-robin across the host's SSDs (see StripeMap).
@@ -87,7 +90,6 @@ struct CtrlStats {
   std::uint64_t asyncReads = 0;
   std::uint64_t asyncWrites = 0;
   std::uint64_t arrayReads = 0;
-  std::uint64_t arrayWrites = 0;
   std::uint64_t directReads = 0;  // SSD -> user buffer, bypassing the cache
   std::uint64_t prefetchDropped = 0;
   // --- token / batch surface ---
@@ -99,8 +101,9 @@ struct CtrlStats {
   std::uint64_t batchRequests = 0;   // descriptors across all batches
   std::uint64_t batchDoorbells = 0;  // doorbell writes covering batch runs
   // --- robustness ---
-  // Claim loops that spent cfg.maxArrayRetries without landing the access
-  // (degraded: the read returns a default value, the write is dropped).
+  // Demand loops that spent their whole probe budget without landing the
+  // access (degraded: the read returns a default value, the write or the
+  // propagation is dropped).
   std::uint64_t exhaustedRetries = 0;
 };
 
@@ -147,7 +150,7 @@ class AgileCtrl {
   AgileCtrl(AgileHost& host, CtrlConfig cfg = {})
       : host_(&host),
         cfg_(cfg),
-        cache_(host.gpu().hbm(), cfg.cacheLines, cfg.cacheCosts,
+        cache_(host.gpu().hbm(), cfg.cacheLines, agileCacheCosts(),
                cfg.cacheShards) {
     AGILE_CHECK_MSG(host.nvmeReady(), "AgileCtrl requires initNvme()");
   }
@@ -180,18 +183,15 @@ class AgileCtrl {
   gpu::GpuTask<void> prefetch(gpu::KernelCtx& ctx, std::uint32_t dev,
                               std::uint64_t lba, AgileLockChain& chain) {
     ++stats_.prefetches;
-    const std::uint64_t tag = makeTag(dev, lba);
     if (cfg_.warpCoalescing) {
       // First-level coalescing: one leader per distinct page per warp.
-      ctx.charge(cost::kCoalesceMatch);
-      const std::uint32_t peers = co_await gpu::warpMatchAny(ctx, tag);
-      const auto leader = static_cast<std::uint32_t>(std::countr_zero(peers));
+      const std::uint32_t leader = co_await warpLeader(ctx, makeTag(dev, lba));
       if (ctx.laneId() != leader) {
         ++stats_.prefetchCoalesced;
         co_return;
       }
     }
-    co_await fillCacheLine(ctx, dev, lba, chain, /*bounded=*/true);
+    (void)co_await fillCacheLine(ctx, dev, lba, chain);
   }
 
   // Divergence-safe prefetch: no warp collective, so it may be called from
@@ -202,7 +202,7 @@ class AgileCtrl {
                                        std::uint64_t lba,
                                        AgileLockChain& chain) {
     ++stats_.prefetches;
-    co_await fillCacheLine(ctx, dev, lba, chain, /*bounded=*/true);
+    (void)co_await fillCacheLine(ctx, dev, lba, chain);
   }
 
   // ------------------------------------------------------- Method 2 ----
@@ -334,63 +334,17 @@ class AgileCtrl {
   gpu::GpuTask<T> arrayReadAt(gpu::KernelCtx& ctx, ElemAddr at,
                               AgileLockChain& chain) {
     ++stats_.arrayReads;
-    const std::uint32_t dev = at.dev;
     AGILE_CHECK_MSG(at.byteOff + sizeof(T) <= nvme::kLbaBytes,
                     "element straddles SSD pages");
-    const std::uint64_t tag = makeTag(dev, at.lba);
-
-    for (std::uint32_t attempt = 0; attempt < cfg_.maxArrayRetries;
-         ++attempt) {
-      const ProbeResult r = cache_.probeOrClaim(ctx, tag);
-      switch (r.outcome) {
-        case ProbeOutcome::kHit: {
-          ctx.charge(cache_.costs().word);
-          T v;
-          std::memcpy(&v, cache_.line(r.line).data + at.byteOff, sizeof(T));
-          co_return v;
-        }
-        case ProbeOutcome::kBusy:
-          co_await ctx.parkOn(cache_.line(r.line).readyWaiters);
-          break;
-        case ProbeOutcome::kClaimed:
-          co_await issueFill(ctx, dev, at.lba, cache_.line(r.line), chain);
-          break;
-        case ProbeOutcome::kNeedWriteback:
-          co_await issueWriteback(ctx, cache_.line(r.line), chain);
-          break;
-        case ProbeOutcome::kStall:
-          // Every candidate line is BUSY: park until a completion frees one
-          // (timed backoff would melt down under cache thrash, §4.4/Fig 10).
-          co_await ctx.parkOn(cache_.stallWaiters(r.shard));
-          break;
-      }
-    }
+    const std::uint32_t li =
+        co_await demandLine(ctx, makeTag(at.dev, at.lba), chain);
     // Budget exhausted: degrade instead of crashing. The caller observes
     // stats().exhaustedRetries (and, for fault runs, host ioHealth()).
-    ++stats_.exhaustedRetries;
-    co_return T{};
-  }
-
-  // Warp-coalesced synchronous read: one cache access per distinct element
-  // per warp; the value is broadcast with a shuffle. Requires converged
-  // lanes (CUDA warp-primitive semantics). T must fit in 8 bytes.
-  template <class T>
-  gpu::GpuTask<T> arrayReadCoalesced(gpu::KernelCtx& ctx, std::uint32_t dev,
-                                     std::uint64_t elemIdx,
-                                     AgileLockChain& chain) {
-    static_assert(sizeof(T) <= sizeof(std::uint64_t));
-    ctx.charge(cost::kCoalesceMatch);
-    const std::uint32_t peers = co_await gpu::warpMatchAny(ctx, elemIdx);
-    const auto leader = static_cast<std::uint32_t>(std::countr_zero(peers));
-    std::uint64_t raw = 0;
-    if (ctx.laneId() == leader) {
-      const T v = co_await arrayRead<T>(ctx, dev, elemIdx, chain);
-      std::memcpy(&raw, &v, sizeof(T));
-    }
-    raw = co_await gpu::warpShfl(ctx, raw, leader);
-    T out;
-    std::memcpy(&out, &raw, sizeof(T));
-    co_return out;
+    if (li == Cache::npos) co_return T{};
+    ctx.charge(cache_.costs().word);
+    T v;
+    std::memcpy(&v, cache_.line(li).data + at.byteOff, sizeof(T));
+    co_return v;
   }
 
   // Read if cached, else fill: the element when its page is READY in the
@@ -411,28 +365,10 @@ class AgileCtrl {
                     "element straddles SSD pages");
     const std::uint64_t tag = makeTag(dev, at.lba);
     std::uint32_t leader = ctx.laneId();
-    if (cfg_.warpCoalescing) {
-      ctx.charge(cost::kCoalesceMatch);
-      const std::uint32_t peers = co_await gpu::warpMatchAny(ctx, tag);
-      leader = static_cast<std::uint32_t>(std::countr_zero(peers));
-    }
+    if (cfg_.warpCoalescing) leader = co_await warpLeader(ctx, tag);
     std::uint32_t hitLine = Cache::npos;
     if (ctx.laneId() == leader) {
-      std::uint32_t line = 0;
-      switch (co_await claimLine(ctx, tag, chain, kPrefetchClaimBudget,
-                                 &line)) {
-        case ClaimResult::kHit:
-          hitLine = line;
-          break;
-        case ClaimResult::kBusy:
-          break;
-        case ClaimResult::kClaimed:
-          co_await issueFill(ctx, dev, at.lba, cache_.line(line), chain);
-          break;
-        case ClaimResult::kExhausted:
-          ++stats_.prefetchDropped;
-          break;
-      }
+      hitLine = co_await fillCacheLine(ctx, dev, at.lba, chain);
     } else {
       ++stats_.prefetchCoalesced;
     }
@@ -476,40 +412,14 @@ class AgileCtrl {
   template <class T>
   gpu::GpuTask<void> arrayWriteAt(gpu::KernelCtx& ctx, ElemAddr at, T value,
                                   AgileLockChain& chain) {
-    ++stats_.arrayWrites;
-    const std::uint32_t dev = at.dev;
     AGILE_CHECK(at.byteOff + sizeof(T) <= nvme::kLbaBytes);
-    const std::uint64_t tag = makeTag(dev, at.lba);
-
-    for (std::uint32_t attempt = 0; attempt < cfg_.maxArrayRetries;
-         ++attempt) {
-      const ProbeResult r = cache_.probeOrClaim(ctx, tag);
-      switch (r.outcome) {
-        case ProbeOutcome::kHit: {
-          ctx.charge(cache_.costs().word);
-          std::memcpy(cache_.line(r.line).data + at.byteOff, &value,
-                      sizeof(T));
-          cache_.markModified(r.line);
-          if constexpr (Share::kEnabled) share_.invalidate(tag);
-          co_return;
-        }
-        case ProbeOutcome::kBusy:
-          co_await ctx.parkOn(cache_.line(r.line).readyWaiters);
-          break;
-        case ProbeOutcome::kClaimed:
-          co_await issueFill(ctx, dev, at.lba, cache_.line(r.line), chain);
-          break;
-        case ProbeOutcome::kNeedWriteback:
-          co_await issueWriteback(ctx, cache_.line(r.line), chain);
-          break;
-        case ProbeOutcome::kStall:
-          // Every candidate line is BUSY: park until a completion frees one
-          // (timed backoff would melt down under cache thrash, §4.4/Fig 10).
-          co_await ctx.parkOn(cache_.stallWaiters(r.shard));
-          break;
-      }
-    }
-    ++stats_.exhaustedRetries;  // degraded: the write is dropped
+    const std::uint64_t tag = makeTag(at.dev, at.lba);
+    const std::uint32_t li = co_await demandLine(ctx, tag, chain);
+    if (li == Cache::npos) co_return;  // degraded: the write is dropped
+    ctx.charge(cache_.costs().word);
+    std::memcpy(cache_.line(li).data + at.byteOff, &value, sizeof(T));
+    cache_.markModified(li);
+    if constexpr (Share::kEnabled) share_.invalidate(tag);
   }
 
   // ------------------------------------- unified async surface (tokens) ----
@@ -624,10 +534,7 @@ class AgileCtrl {
 
     bool prefetchLeader = true;
     if (cfg_.warpCoalescing && !batch.empty()) {
-      ctx.charge(cost::kCoalesceMatch);
-      const std::uint32_t peers =
-          co_await gpu::warpMatchAny(ctx, batch.signature());
-      const auto leader = static_cast<std::uint32_t>(std::countr_zero(peers));
+      const std::uint32_t leader = co_await warpLeader(ctx, batch.signature());
       prefetchLeader = ctx.laneId() == leader;
     }
 
@@ -667,7 +574,6 @@ class AgileCtrl {
               ctx, e.dev, e.lba, chain, &cmds[nCmds], ops_.ref(t),
               batch.tenant());
           if (claimed) {
-            cmds[nCmds].dev = e.dev;
             ++ops_.get(t)->pendingFills;
             ++nCmds;
           }
@@ -800,25 +706,28 @@ class AgileCtrl {
 
   // ----------------------------------------------------- internals ----
 
-  // Claim-and-fill used by prefetch and by the array API miss path.
-  gpu::GpuTask<void> fillCacheLine(gpu::KernelCtx& ctx, std::uint32_t dev,
-                                   std::uint64_t lba, AgileLockChain& chain,
-                                   bool bounded) {
-    const std::uint64_t tag = makeTag(dev, lba);
-    const std::uint32_t budget =
-        bounded ? kPrefetchClaimBudget : cfg_.maxArrayRetries;
+  // Bounded claim-and-fill behind prefetch, prefetchDivergent and the
+  // read-or-fill leader. Returns the line when the page is already READY or
+  // MODIFIED, npos otherwise (fill issued, in flight, or dropped).
+  gpu::GpuTask<std::uint32_t> fillCacheLine(gpu::KernelCtx& ctx,
+                                            std::uint32_t dev,
+                                            std::uint64_t lba,
+                                            AgileLockChain& chain) {
     std::uint32_t line = 0;
-    switch (co_await claimLine(ctx, tag, chain, budget, &line)) {
+    switch (co_await claimLine(ctx, makeTag(dev, lba), chain,
+                               kPrefetchClaimBudget, &line)) {
       case ClaimResult::kHit:
+        co_return line;
       case ClaimResult::kBusy:
-        co_return;  // already present or in flight (second-level coalesce)
+        break;  // already in flight (second-level coalesce)
       case ClaimResult::kClaimed:
         co_await issueFill(ctx, dev, lba, cache_.line(line), chain);
-        co_return;
+        break;
       case ClaimResult::kExhausted:
         ++stats_.prefetchDropped;  // cache too contended; demand fetch later
-        co_return;
+        break;
     }
+    co_return Cache::npos;
   }
 
   gpu::GpuTask<void> issueFill(gpu::KernelCtx& ctx, std::uint32_t dev,
@@ -826,16 +735,10 @@ class AgileCtrl {
                                AgileLockChain& chain, IoOpRef opRef = {},
                                qos::TenantId tenant = qos::kHostTenant) {
     noteLineOwner(line, tenant);
-    nvme::Sqe cmd = makeCmd(nvme::Opcode::kRead, lba,
-                            host_->gpu().hbm().physAddr(line.data));
-    Transaction txn;
-    txn.kind = TxnKind::kCacheFill;
-    txn.line = &line;
-    txn.op = opRef;
-    txn.tenant = tenant;
+    const PendingCmd fill = fillCmd(dev, lba, line, opRef, tenant);
     // Fills stay shard-local: the line's home shard selects its affine QP
     // slice on the target device (no-op at one shard).
-    co_await issueToSsd(ctx, dev, cmd, txn, chain,
+    co_await issueToSsd(ctx, dev, fill.cmd, fill.txn, chain,
                         cache_.shardOfTag(makeTag(dev, lba)),
                         cache_.shardCount());
   }
@@ -874,10 +777,13 @@ class AgileCtrl {
                                          std::uint32_t shardTotal = 1) {
     txn.submitNs = host_->engine().now();
     qos::QosManager* q = host_->qosManager();
-    if (q != nullptr &&
-        !co_await admitSubmission(ctx, txn.tenant, nvme::kLbaBytes)) {
-      settleTransaction(host_->engine(), txn, nvme::Status::kCommandAborted);
-      co_return kNoSlot;
+    if (q != nullptr) {
+      const bool admitted =
+          co_await admitSubmission(ctx, txn.tenant, nvme::kLbaBytes);
+      if (!admitted) {
+        settleTransaction(host_->engine(), txn, nvme::Status::kCommandAborted);
+        co_return kNoSlot;
+      }
     }
     QueuePairSet& qps = host_->queuePairs();
     const QpSlice slice = qps.slice(dev, shard, shardTotal);
@@ -910,6 +816,9 @@ class AgileCtrl {
   // cannot claim a line in this many probe rounds is dropped, and demand
   // fetches the page later.
   static constexpr std::uint32_t kPrefetchClaimBudget = 64;
+  // Probe budget of the demand loop (array reads/writes, propagation): only
+  // a cache wedged by faults spends it, and the access then degrades.
+  static constexpr std::uint32_t kDemandClaimBudget = 100000;
 
   enum class ClaimResult : std::uint8_t {
     kHit,        // READY or MODIFIED: *outLine holds the data now
@@ -918,9 +827,11 @@ class AgileCtrl {
     kExhausted,  // retry budget spent with every candidate BUSY
   };
 
-  // The one probe/claim retry state machine shared by every prefetch-flavor
+  // The probe/claim retry state machine shared by every prefetch-flavor
   // path (fillCacheLine, submitPrefetch, batch fills): handles dirty-victim
-  // writebacks and all-BUSY stalls with awaits between attempts.
+  // writebacks and all-BUSY stalls with awaits between attempts. Unlike
+  // demandLine it returns on a BUSY line (the fill in flight serves the
+  // prefetch) and hands a stall admission it did not use on.
   AGILE_NODISCARD("kClaimed hands back a BUSY line the caller must settle")
   gpu::GpuTask<ClaimResult> claimLine(gpu::KernelCtx& ctx, std::uint64_t tag,
                                       AgileLockChain& chain,
@@ -963,6 +874,77 @@ class AgileCtrl {
       cache_.stallWaiters(cache_.shardOfTag(tag)).notifyOne(host_->engine());
     }
     co_return ClaimResult::kExhausted;
+  }
+
+  // The demand probe/claim loop behind arrayRead, arrayWrite and Share-Table
+  // propagation: waits out BUSY lines, writes back dirty victims and parks on
+  // all-BUSY stalls until the page is READY or MODIFIED, and returns that
+  // line (npos once the budget is spent, counted in exhaustedRetries). A
+  // claimed line is filled from the SSD, or, with fillFrom, locally from that
+  // buffer (no SSD round trip): the caller then writes the same bytes as on a
+  // hit and pays the one line copy. Unlike claimLine it hands no stall
+  // admission on; doing so would change fig10's AGILE-sync column.
+  gpu::GpuTask<std::uint32_t> demandLine(gpu::KernelCtx& ctx,
+                                         std::uint64_t tag,
+                                         AgileLockChain& chain,
+                                         const AgileBuf* fillFrom = nullptr) {
+    for (std::uint32_t attempt = 0; attempt < kDemandClaimBudget; ++attempt) {
+      const ProbeResult r = cache_.probeOrClaim(ctx, tag);
+      switch (r.outcome) {
+        case ProbeOutcome::kHit:
+          co_return r.line;
+        case ProbeOutcome::kBusy:
+          co_await ctx.parkOn(cache_.line(r.line).readyWaiters);
+          break;
+        case ProbeOutcome::kClaimed: {
+          CacheLine& l = cache_.line(r.line);
+          if (fillFrom == nullptr) {
+            co_await issueFill(ctx, tagDev(tag), tagLba(tag), l, chain);
+            break;
+          }
+          noteLineOwner(l, qos::kHostTenant);
+          std::memcpy(l.data, fillFrom->data(), nvme::kLbaBytes);
+          l.clearBusy(LineState::kReady);
+          l.readyWaiters.notifyAll(ctx.engine());
+          co_return r.line;
+        }
+        case ProbeOutcome::kNeedWriteback:
+          co_await issueWriteback(ctx, cache_.line(r.line), chain);
+          break;
+        case ProbeOutcome::kStall:
+          // Every candidate line is BUSY: park until a completion frees one
+          // (timed backoff would melt down under cache thrash, §4.4/Fig 10).
+          co_await ctx.parkOn(cache_.stallWaiters(r.shard));
+          break;
+      }
+    }
+    ++stats_.exhaustedRetries;
+    co_return Cache::npos;
+  }
+
+  // First-level coalescing (§3.3.2): the lowest lane of the warp whose key
+  // matches this lane's. Requires converged lanes. Keep the await in its own
+  // statement (agile-lint: co-await-short-circuit).
+  gpu::GpuTask<std::uint32_t> warpLeader(gpu::KernelCtx& ctx,
+                                         std::uint64_t key) {
+    ctx.charge(cost::kCoalesceMatch);
+    const std::uint32_t peers = co_await gpu::warpMatchAny(ctx, key);
+    co_return static_cast<std::uint32_t>(std::countr_zero(peers));
+  }
+
+  // The SSD -> cache-line read command for a claimed line, and the
+  // transaction that settles it.
+  PendingCmd fillCmd(std::uint32_t dev, std::uint64_t lba, CacheLine& line,
+                     IoOpRef op, qos::TenantId tenant) const {
+    PendingCmd f;
+    f.dev = dev;
+    f.cmd = makeCmd(nvme::Opcode::kRead, lba,
+                    host_->gpu().hbm().physAddr(line.data));
+    f.txn.kind = TxnKind::kCacheFill;
+    f.txn.line = &line;
+    f.txn.op = op;
+    f.txn.tenant = tenant;
+    return f;
   }
 
   // Resolve an async read against the Share Table and the software cache.
@@ -1080,23 +1062,16 @@ class AgileCtrl {
                                        AgileLockChain& chain,
                                        PendingCmd* outCmd, IoOpRef opRef,
                                        qos::TenantId tenant) {
-    const std::uint64_t tag = makeTag(dev, lba);
     std::uint32_t lineIdx = 0;
-    switch (co_await claimLine(ctx, tag, chain, kPrefetchClaimBudget,
-                               &lineIdx)) {
+    switch (co_await claimLine(ctx, makeTag(dev, lba), chain,
+                               kPrefetchClaimBudget, &lineIdx)) {
       case ClaimResult::kHit:
       case ClaimResult::kBusy:
         co_return false;  // present or in flight: coalesced
       case ClaimResult::kClaimed: {
         CacheLine& line = cache_.line(lineIdx);
         noteLineOwner(line, tenant);
-        outCmd->cmd = makeCmd(nvme::Opcode::kRead, lba,
-                              host_->gpu().hbm().physAddr(line.data));
-        outCmd->txn = Transaction{};
-        outCmd->txn.kind = TxnKind::kCacheFill;
-        outCmd->txn.line = &line;
-        outCmd->txn.op = opRef;
-        outCmd->txn.tenant = tenant;
+        *outCmd = fillCmd(dev, lba, line, opRef, tenant);
         co_return true;
       }
       case ClaimResult::kExhausted:
@@ -1150,14 +1125,16 @@ class AgileCtrl {
     // a rejected run settles every transaction with the admission error.
     qos::QosManager* q = host_->qosManager();
     const qos::TenantId tenant = devTxns[0].tenant;
-    if (q != nullptr &&
-        !co_await admitSubmission(
-            ctx, tenant, devN * static_cast<std::uint32_t>(nvme::kLbaBytes))) {
-      for (std::uint32_t i = 0; i < devN; ++i) {
-        settleTransaction(host_->engine(), devTxns[i],
-                          nvme::Status::kCommandAborted);
+    if (q != nullptr) {
+      const bool admitted = co_await admitSubmission(
+          ctx, tenant, devN * static_cast<std::uint32_t>(nvme::kLbaBytes));
+      if (!admitted) {
+        for (std::uint32_t i = 0; i < devN; ++i) {
+          settleTransaction(host_->engine(), devTxns[i],
+                            nvme::Status::kCommandAborted);
+        }
+        co_return;
       }
-      co_return;
     }
 
     std::uint32_t done = 0;
@@ -1193,15 +1170,9 @@ class AgileCtrl {
   void pumpDeferred(std::uint32_t lineIdx, std::uint32_t dev,
                     std::uint64_t lba, std::uint32_t slot,
                     std::uint64_t gen, qos::TenantId tenant) {
-    CacheLine& line = cache_.line(lineIdx);
-    nvme::Sqe cmd = makeCmd(nvme::Opcode::kRead, lba,
-                            host_->gpu().hbm().physAddr(line.data));
-    Transaction txn;
-    txn.kind = TxnKind::kCacheFill;
-    txn.line = &line;
-    txn.op = IoOpRef{&ops_, slot, gen};
-    txn.tenant = tenant;
-    txn.submitNs = host_->engine().now();
+    PendingCmd fill = fillCmd(dev, lba, cache_.line(lineIdx),
+                              IoOpRef{&ops_, slot, gen}, tenant);
+    fill.txn.submitNs = host_->engine().now();
     // Speculative fills are host-pumped engine events: they cannot park on
     // admission, so they bypass the token bucket (the cancellation window
     // already bounds speculation) but still pay WFQ virtual time below.
@@ -1216,7 +1187,7 @@ class AgileCtrl {
       if (qos::QosManager* q = host_->qosManager()) {
         q->onGrant(tenant, nvme::kLbaBytes);
       }
-      writeAndRing(*g.sq, &g.slot, &cmd, &txn, 1);
+      writeAndRing(*g.sq, &g.slot, &fill.cmd, &fill.txn, 1);
       return;
     }
     // Every queue of this SSD is full: re-pump when one frees an entry.
@@ -1230,40 +1201,11 @@ class AgileCtrl {
   // MODIFIED line; the normal eviction path writes it to flash).
   gpu::GpuTask<void> propagateToCache(gpu::KernelCtx& ctx, std::uint64_t tag,
                                       AgileBuf& buf, AgileLockChain& chain) {
-    for (std::uint32_t attempt = 0; attempt < cfg_.maxArrayRetries;
-         ++attempt) {
-      const ProbeResult r = cache_.probeOrClaim(ctx, tag);
-      switch (r.outcome) {
-        case ProbeOutcome::kHit: {
-          ctx.charge(cache_.costs().lineCopy);
-          std::memcpy(cache_.line(r.line).data, buf.data(), nvme::kLbaBytes);
-          cache_.markModified(r.line);
-          co_return;
-        }
-        case ProbeOutcome::kClaimed: {
-          // Local fill from the buffer — no SSD round trip.
-          CacheLine& l = cache_.line(r.line);
-          noteLineOwner(l, qos::kHostTenant);
-          ctx.charge(cache_.costs().lineCopy);
-          std::memcpy(l.data, buf.data(), nvme::kLbaBytes);
-          l.clearBusy(LineState::kModified);
-          l.readyWaiters.notifyAll(ctx.engine());
-          co_return;
-        }
-        case ProbeOutcome::kBusy:
-          co_await ctx.parkOn(cache_.line(r.line).readyWaiters);
-          break;
-        case ProbeOutcome::kNeedWriteback:
-          co_await issueWriteback(ctx, cache_.line(r.line), chain);
-          break;
-        case ProbeOutcome::kStall:
-          // Every candidate line is BUSY: park until a completion frees one
-          // (timed backoff would melt down under cache thrash, §4.4/Fig 10).
-          co_await ctx.parkOn(cache_.stallWaiters(r.shard));
-          break;
-      }
-    }
-    ++stats_.exhaustedRetries;  // degraded: the propagation is dropped
+    const std::uint32_t li = co_await demandLine(ctx, tag, chain, &buf);
+    if (li == Cache::npos) co_return;  // degraded: the propagation is dropped
+    ctx.charge(cache_.costs().lineCopy);
+    std::memcpy(cache_.line(li).data, buf.data(), nvme::kLbaBytes);
+    cache_.markModified(li);
   }
 
   // Token-bucket admission loop: park-and-retry until the tenant's bucket

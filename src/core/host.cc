@@ -4,8 +4,10 @@ namespace agile::core {
 
 namespace {
 
-gpu::GpuConfig withServiceSm(gpu::GpuConfig cfg, bool reserve) {
-  if (reserve && cfg.reservedSms == 0 && cfg.numSms >= 2) cfg.reservedSms = 1;
+// Pin the service kernel to a dedicated SM (see GpuConfig::reservedSms)
+// unless the caller reserved SMs itself or the GPU has only one.
+gpu::GpuConfig withServiceSm(gpu::GpuConfig cfg) {
+  if (cfg.reservedSms == 0 && cfg.numSms >= 2) cfg.reservedSms = 1;
   return cfg;
 }
 
@@ -13,7 +15,7 @@ gpu::GpuConfig withServiceSm(gpu::GpuConfig cfg, bool reserve) {
 
 AgileHost::AgileHost(HostConfig cfg)
     : cfg_(cfg),
-      gpu_(engine_, withServiceSm(cfg.gpu, cfg.reserveServiceSm)) {}
+      gpu_(engine_, withServiceSm(cfg.gpu)) {}
 
 AgileHost::~AgileHost() {
   if (serviceRunning()) stopAgile();

@@ -33,8 +33,6 @@ struct HostConfig {
   // the legacy fixed stagingPages total.
   std::uint32_t stagingPagesPerSsd = 0;
   ServiceConfig service;
-  // Pin the service kernel to a dedicated SM (see GpuConfig::reservedSms).
-  bool reserveServiceSm = true;
   // Virtual-time watchdog for runKernel: a kernel exceeding this is treated
   // as hung (deadlock tests rely on it).
   SimTime kernelTimeout = 30_s;

@@ -76,9 +76,9 @@ gpu::GpuTask<void> AgileService::laneBody(gpu::KernelCtx& ctx) {
     // counts the service contributes thousands of concurrent backoff
     // timers per poll generation, all O(1) wheel inserts.
     if (ctx.laneId() == 0) {
-      idlePerWarp_[warp] = any ? cfg_.idleBackoffMin
+      idlePerWarp_[warp] = any ? cost::kServiceIdleMin
                                : std::min(idlePerWarp_[warp] * 2,
-                                          cfg_.idleBackoffMax);
+                                          cost::kServiceIdleMax);
     }
     co_await ctx.backoff(idlePerWarp_[warp]);
   }

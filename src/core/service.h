@@ -26,8 +26,6 @@ namespace agile::core {
 
 struct ServiceConfig {
   std::uint32_t warps = 2;
-  SimTime idleBackoffMin = cost::kServiceIdleMin;
-  SimTime idleBackoffMax = cost::kServiceIdleMax;
 };
 
 struct ServiceStats {
@@ -40,7 +38,7 @@ struct ServiceStats {
 class AgileService {
  public:
   AgileService(QueuePairSet& qps, ServiceConfig cfg)
-      : qps_(&qps), cfg_(cfg), idlePerWarp_(cfg.warps, cfg.idleBackoffMin) {}
+      : qps_(&qps), cfg_(cfg), idlePerWarp_(cfg.warps, cost::kServiceIdleMin) {}
 
   const ServiceConfig& config() const { return cfg_; }
   const ServiceStats& stats() const { return stats_; }

@@ -313,6 +313,50 @@ TEST_F(CtrlFixture, ModifiedShareePropagatesOnRelease) {
       }));
   EXPECT_EQ(reread, 0xfeedu);
   EXPECT_EQ(ctrl->shareTable().stats().propagations, 1u);
+  // The owner's direct read is the only SSD read: the propagation filled
+  // the line from the buffer and the reread hit it.
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
+}
+
+TEST_F(CtrlFixture, ModifiedShareePropagatesIntoReadyLine) {
+  // The page is already READY in the software cache when the last holder
+  // of a Modified shared buffer releases it: the propagation overwrites
+  // the line in place and marks it MODIFIED, with no further SSD read.
+  build();
+  auto* memA = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  auto* memB = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  std::uint64_t filled = 0;
+  std::uint64_t reread = 0;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 2, .name = "moesi-hit"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        AgileBuf buf(ctx.threadIdx() == 0 ? memA : memB);
+        AgileBufPtr ptr(buf);
+        if (ctx.threadIdx() == 1) co_await gpu::compute(ctx, 2000);
+        co_await ctrl->asyncRead(ctx, 0, 40, ptr, chain);
+        co_await ctrl->waitBuf(ctx, ptr);
+        if (ctx.threadIdx() == 1) {
+          co_await gpu::compute(ctx, 4000);  // after the owner's cache fill
+          ptr.as<std::uint64_t>()[0] = 0xfeed;
+          ctrl->markBufModified(ptr);
+          co_await ctrl->releaseBuf(ctx, ptr, chain);
+        } else {
+          // Fill the page into the cache beside the shared buffer.
+          filled = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 40 * 512,
+                                                           chain);
+          co_await ctrl->releaseOwned(ctx, 0, 40, ptr, chain);
+          reread = co_await ctrl->arrayRead<std::uint64_t>(
+              ctx, 0, 40 * 512, chain);
+        }
+      }));
+  EXPECT_EQ(filled, expectWord(40, 0));
+  EXPECT_EQ(reread, 0xfeedu);
+  EXPECT_EQ(ctrl->shareTable().stats().propagations, 1u);
+  // The owner's asyncRead probe and the fill missed; the propagation hit.
+  EXPECT_EQ(ctrl->cache().stats().misses, 2u);
+  // The owner's direct read plus the fill that made the line READY.
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 2u);
 }
 
 // releaseOwned() with a buffer that owns no entry for the page (its read
@@ -484,40 +528,6 @@ TEST_F(CtrlFixture, ArrayWriteWaitsOutBusyLineThenLands) {
       }));
   EXPECT_EQ(got, 0xabcu);
   EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);  // the write rode the fill
-}
-
-TEST_F(CtrlFixture, CoalescedReadBroadcastsValue) {
-  build();
-  bool allMatch = true;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 32, .name = "coread"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        const auto v = co_await ctrl->arrayReadCoalesced<std::uint64_t>(
-            ctx, 0, 6, chain);
-        allMatch &= v == nvme::FlashStore::patternWord(0, 6);
-      }));
-  EXPECT_TRUE(allMatch);
-  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
-}
-
-TEST_F(CtrlFixture, CoalescedReadDivergentValuesPerGroup) {
-  // Lanes read 4 distinct elements spread over 4 pages: match-any must form
-  // one group per element, each lane must receive its own group's value,
-  // and only 4 fills may reach the SSD.
-  build();
-  bool allMatch = true;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 32, .name = "codiv"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        const std::uint64_t page = ctx.laneId() / 8;  // 4 groups of 8 lanes
-        const auto v = co_await ctrl->arrayReadCoalesced<std::uint64_t>(
-            ctx, 0, page * 512 + 3, chain);
-        allMatch &= v == nvme::FlashStore::patternWord(page, 3);
-      }));
-  EXPECT_TRUE(allMatch);
-  EXPECT_EQ(host->ssd(0).readsCompleted(), 4u);
 }
 
 TEST_F(CtrlFixture, ReadOrFillHitReturnsWord) {

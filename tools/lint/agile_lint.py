@@ -607,7 +607,7 @@ def check_tenant_default(ctx: FileContext) -> Iterator[Finding]:
 # the one queue-pair routing call every SQ issue path goes through.
 _DEVICE_CALL_RE = re.compile(
     r"\b(prefetch|prefetchDivergent|asyncRead|asyncWrite|submitRead|"
-    r"submitWrite|submitPrefetch|arrayRead|arrayReadCoalesced|arrayWrite|"
+    r"submitWrite|submitPrefetch|arrayRead|arrayWrite|"
     r"readElem|writeElem|readPage|issueFill|issueToSsd|issueBatchToSsd|"
     r"slice)\s*(?:<[^;(){}]*>)?\s*(\()"
 )
@@ -689,6 +689,93 @@ def check_std_function_hot(ctx: FileContext) -> Iterator[Finding]:
                 "std::function in src/ — use agile::SmallFn "
                 "(common/small_fn.h) or justify with a suppression",
             )
+
+
+_CO_AWAIT_RE = re.compile(r"\bco_await\b")
+_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def _skip_balanced(text: str, i: int, open_c: str, close_c: str) -> int:
+    """Index just past the bracket group opening at text[i] (len(text) if
+    it never closes)."""
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] == open_c:
+            depth += 1
+        elif text[j] == close_c:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return len(text)
+
+
+def _awaited_operand_end(text: str, i: int) -> int:
+    """End of the postfix expression a co_await at text[i:] applies to:
+    names, ::/./-> chains, template arguments, calls and subscripts."""
+    n = len(text)
+    while i < n and text[i].isspace():
+        i += 1
+    while i < n:
+        m = _IDENT_RE.match(text, i)
+        if m:
+            i = m.end()
+            continue
+        if text.startswith(("::", "->"), i):
+            i += 2
+        elif text[i] == ".":
+            i += 1
+        elif text[i] == "(":
+            i = _skip_balanced(text, i, "(", ")")
+        elif text[i] == "[":
+            i = _skip_balanced(text, i, "[", "]")
+        elif text[i] == "<":
+            # Template arguments only when a call or scope follows them;
+            # otherwise this is a comparison and the operand ended.
+            j = _skip_balanced(text, i, "<", ">")
+            rest = text[j:].lstrip()
+            if not rest.startswith(("(", "::")):
+                break
+            i = j
+        elif text[i].isspace():
+            rest = text[i:].lstrip()
+            if not rest.startswith(("(", "[", ".", "->", "::")):
+                break
+            i = n - len(rest)
+        else:
+            break
+    return i
+
+
+@check(
+    "co-await-short-circuit",
+    "hygiene",
+    "co_await as an operand of && or || has been seen to miscompile under "
+    "g++ 12 (the lane resumes outside the scheduler awaitables) — hoist the "
+    "await into its own statement",
+)
+def check_co_await_short_circuit(ctx: FileContext) -> Iterator[Finding]:
+    # Right operand: the await (behind any `!` or `(`) follows && / ||, so
+    # it is evaluated conditionally. Left operand: the awaited expression is
+    # followed directly by && / ||.
+    text = ctx.stripped
+    for m in _CO_AWAIT_RE.finditer(text):
+        j = m.start() - 1
+        while j >= 0 and (text[j].isspace() or text[j] in "!("):
+            j -= 1
+        after = text[_awaited_operand_end(text, m.end()):].lstrip()
+        side = None
+        if text[max(j - 1, 0):j + 1] in ("&&", "||"):
+            side = "right"
+        elif after.startswith(("&&", "||")):
+            side = "left"
+        if side is None:
+            continue
+        line = 1 + text.count("\n", 0, m.start())
+        yield Finding(
+            ctx.relpath, line, "co-await-short-circuit",
+            f"co_await is the {side} operand of a short-circuit operator — "
+            "await into a local in its own statement, then test the local",
+        )
 
 
 # include-cycle is corpus-level: it runs once over the whole file set.
