@@ -378,7 +378,8 @@ gpu::GpuTask<void> KvServer::prefillSeq(gpu::KernelCtx& ctx, Seq& s,
 // Method-2 read of the layer's i-th shared block into ring page
 // i % ringPages(), so concurrent readers of the same prefix block are
 // deduplicated by the Share Table (peer-buffer redirect) instead of each
-// paying an SSD read or a cache slot.
+// paying an SSD read. The last release demotes the page into the software
+// cache, so later steps' reads of the block hit HBM.
 gpu::GpuTask<void> KvServer::issueShared(gpu::KernelCtx& ctx, Seq& s,
                                          std::size_t i,
                                          core::AgileLockChain& chain) {

@@ -483,11 +483,14 @@ class SoftwareCache {
   // One atomic probe-or-claim step (runs within a single lane segment —
   // the critical section the paper guards with the cache lock, charged per
   // shard via chargeSharded). The caller loops on kStall / kNeedWriteback
-  // outcomes with awaits in between.
+  // outcomes with awaits in between. countLookup == false keeps the probe
+  // out of hits / misses / busyHits (a Share-Table demotion is no demand
+  // lookup); the evictions, writebacks and stalls it causes still count.
   AGILE_NODISCARD(
       "a kClaimed result hands the caller a BUSY line it must fill and "
       "release (or releaseClaim); dropping it wedges the line")
-  ProbeResult probeOrClaim(gpu::KernelCtx& ctx, std::uint64_t tag) {
+  ProbeResult probeOrClaim(gpu::KernelCtx& ctx, std::uint64_t tag,
+                           bool countLookup = true) {
     const std::uint32_t si = shardOfTag(tag);
     Shard& sh = shards_[si];
     ctx.chargeSharded(costs_.probe, shardCount_);
@@ -498,11 +501,11 @@ class SoftwareCache {
       switch (l.state) {
         case LineState::kReady:
         case LineState::kModified:
-          ++sh.stats.hits;
+          sh.stats.hits += countLookup;
           sh.policy.onTouch(it->second - sh.base);
           return {ProbeOutcome::kHit, it->second, si};
         case LineState::kBusy:
-          ++sh.stats.busyHits;
+          sh.stats.busyHits += countLookup;
           return {ProbeOutcome::kBusy, it->second, si};
         case LineState::kInvalid:
           // A finished eviction left the mapping behind; drop it and fall
@@ -512,7 +515,7 @@ class SoftwareCache {
           break;
       }
     }
-    ++sh.stats.misses;
+    sh.stats.misses += countLookup;
     // Miss: never-used lines are consumed before the policy evicts anything
     // (all policies fill empty frames first).
     std::uint32_t v;

@@ -28,7 +28,8 @@
 //
 // Every cache access runs on one of two probe/claim loops: claimLine for
 // prefetch-flavoured callers and demandLine for the array API and Share-Table
-// propagation (see their comments for why they differ).
+// propagation (see their comments for why they differ). The one exception is
+// the Share-Table demotion, a single probe that never waits (demoteToCache).
 #pragma once
 
 #include <bit>
@@ -244,9 +245,10 @@ class AgileCtrl {
   }
 
   // Detach a pointer that was redirected to a peer's buffer by the Share
-  // Table. If this holder was the last and the buffer was modified, the
-  // update is propagated to the software cache (the L2 of §3.4.1) before the
-  // memory is considered free. Owners release with releaseOwned().
+  // Table. The last holder hands the page down to the software cache (the
+  // L2 of §3.4.1, see settleLastRelease) before the memory is considered
+  // free; a holder that leaves only the owner attached wakes it. Owners
+  // release with releaseOwned().
   gpu::GpuTask<void> releaseBuf(gpu::KernelCtx& ctx, AgileBufPtr& buf,
                                 AgileLockChain& chain) {
     if constexpr (Share::kEnabled) {
@@ -256,12 +258,10 @@ class AgileCtrl {
         AGILE_CHECK_MSG(buf.active()->barrier().ready(),
                         "release while transfer in flight");
         const std::uint64_t tag = e->tag;
-        AgileBuf& data = *buf.active();
-        bool needProp = false;
-        const bool last = share_.release(ctx, *e, &needProp);
-        if (last && needProp) {
-          co_await propagateToCache(ctx, tag, data, chain);
-        } else if (!last && e->refCount == 1) {
+        const ShareRelease rel = share_.release(ctx, *e);
+        if (rel != ShareRelease::kHeld) {
+          co_await settleLastRelease(ctx, tag, *buf.active(), rel, chain);
+        } else if (e->refCount == 1) {
           // Only the owner's reference remains; wake it if it is parked in
           // releaseOwned() waiting to reclaim the buffer.
           e->drainWaiters.notifyAll(host_->engine());
@@ -273,29 +273,26 @@ class AgileCtrl {
 
   // Owner-side release, keyed by the page the buffer holds. If sharers are
   // still attached to this buffer the owner parks until they detach, so the
-  // buffer memory is safe to reuse the moment this returns. A buffer whose
-  // read resolved from the cache or a BUSY line owns no entry: a peer's
-  // entry for the same page is left alone (its DMA may still be in flight).
+  // buffer memory is safe to reuse the moment this returns; the owner is
+  // then the last holder and hands the page down (settleLastRelease). An
+  // entry a write detached is still found here, so its sharers are drained
+  // all the same. A buffer whose read resolved from the cache or a BUSY line
+  // owns no entry: a peer's entry for the same page is left alone (its DMA
+  // may still be in flight).
   gpu::GpuTask<void> releaseOwned(gpu::KernelCtx& ctx, std::uint32_t dev,
                                   std::uint64_t lba, AgileBufPtr& buf,
                                   AgileLockChain& chain) {
     if constexpr (Share::kEnabled) {
       const std::uint64_t tag = makeTag(dev, lba);
-      const auto ownEntry = [&] {
-        ShareEntry* e = share_.find(tag);
-        return e != nullptr && e->buf == buf.own() ? e : nullptr;
-      };
-      ShareEntry* e = ownEntry();
+      ShareEntry* e = share_.findOwned(tag, buf.own());
       while (e != nullptr && e->refCount > 1) {
         co_await ctx.parkOn(e->drainWaiters);
-        e = ownEntry();
+        e = share_.findOwned(tag, buf.own());
       }
       if (e != nullptr) {
-        AGILE_CHECK(buf.active()->barrier().ready());
-        bool needProp = false;
-        if (share_.release(ctx, *e, &needProp) && needProp) {
-          co_await propagateToCache(ctx, tag, *buf.active(), chain);
-        }
+        AGILE_CHECK(buf.own()->barrier().ready());
+        const ShareRelease rel = share_.release(ctx, *e);
+        co_await settleLastRelease(ctx, tag, *buf.own(), rel, chain);
       }
     }
     co_return;
@@ -902,10 +899,7 @@ class AgileCtrl {
             co_await issueFill(ctx, tagDev(tag), tagLba(tag), l, chain);
             break;
           }
-          noteLineOwner(l, qos::kHostTenant);
-          std::memcpy(l.data, fillFrom->data(), nvme::kLbaBytes);
-          l.clearBusy(LineState::kReady);
-          l.readyWaiters.notifyAll(ctx.engine());
+          fillLineFrom(ctx, l, *fillFrom);
           co_return r.line;
         }
         case ProbeOutcome::kNeedWriteback:
@@ -1197,6 +1191,59 @@ class AgileCtrl {
     });
   }
 
+  // Land `src` in a line claimed BUSY for its page, with no SSD round trip:
+  // the line turns READY and wakes anyone parked on it.
+  void fillLineFrom(gpu::KernelCtx& ctx, CacheLine& l, const AgileBuf& src) {
+    noteLineOwner(l, qos::kHostTenant);
+    std::memcpy(l.data, src.data(), nvme::kLbaBytes);
+    l.clearBusy(LineState::kReady);
+    l.readyWaiters.notifyAll(ctx.engine());
+  }
+
+  // The epilogue of every Share-Table release (releaseBuf, releaseOwned):
+  // the last holder hands the page down one level, into the software cache.
+  // A Modified buffer is propagated; a clean one whose read succeeded is
+  // demoted (both callers have checked that the barrier is ready). A
+  // detached entry hands nothing down: the write that detached it is newer
+  // than the buffer.
+  gpu::GpuTask<void> settleLastRelease(gpu::KernelCtx& ctx, std::uint64_t tag,
+                                       AgileBuf& buf, ShareRelease rel,
+                                       AgileLockChain& chain) {
+    switch (rel) {
+      case ShareRelease::kLastModified:
+        co_await propagateToCache(ctx, tag, buf, chain);
+        break;
+      case ShareRelease::kLastClean:
+        if (!buf.barrier().failed()) {
+          co_await demoteToCache(ctx, tag, buf, chain);
+        }
+        break;
+      case ShareRelease::kHeld:
+      case ShareRelease::kLastDetached:
+        break;
+    }
+  }
+
+  // Demote a clean page leaving the Share Table into the software cache
+  // (the line ends READY), so the next reader of the page hits HBM instead
+  // of flash. One probe, kept out of the demand hit/miss counts, and no
+  // suspension before the install, so no write can land between the
+  // release and the copy. A page already present or in flight needs
+  // nothing; an all-BUSY shard drops the demotion rather than park; a
+  // dirty victim is written back and the demotion dropped.
+  gpu::GpuTask<void> demoteToCache(gpu::KernelCtx& ctx, std::uint64_t tag,
+                                   const AgileBuf& buf, AgileLockChain& chain) {
+    const ProbeResult r =
+        cache_.probeOrClaim(ctx, tag, /*countLookup=*/false);
+    if (r.outcome == ProbeOutcome::kClaimed) {
+      ctx.charge(cache_.costs().lineCopy);
+      fillLineFrom(ctx, cache_.line(r.line), buf);
+      share_.noteDemotion();
+    } else if (r.outcome == ProbeOutcome::kNeedWriteback) {
+      co_await issueWriteback(ctx, cache_.line(r.line), chain);
+    }
+  }
+
   // Propagate a Modified shared buffer into the software cache (becomes a
   // MODIFIED line; the normal eviction path writes it to flash).
   gpu::GpuTask<void> propagateToCache(gpu::KernelCtx& ctx, std::uint64_t tag,
@@ -1233,9 +1280,9 @@ class AgileCtrl {
   }
 
   // d4n-style cache-space accounting: a line's owner changes exactly when a
-  // tenant claims it (fill, propagation) or a cancel releases the claim, so
-  // QosManager::cacheLines(t) counts the lines a tenant currently holds in
-  // the shared cache. No-op (beyond the stored owner id) without QoS.
+  // tenant claims it (fill, propagation, demotion) or a cancel releases the
+  // claim, so QosManager::cacheLines(t) counts the lines a tenant currently
+  // holds in the shared cache. No-op (beyond the stored owner id) without QoS.
   void noteLineOwner(CacheLine& line, qos::TenantId t) {
     if (qos::QosManager* q = host_->qosManager()) {
       q->onCacheLineOwner(line.tenant, t.value);

@@ -4,10 +4,12 @@
 // owns a copy of an SSD page fetched through asyncRead. The MOESI-inspired
 // protocol is reinterpreted for pointer sharing: instead of duplicating data
 // per thread, later readers are handed a pointer to the owner's buffer and a
-// reference count tracks use. A writer moves the entry to Modified; the last
-// releaser of a Modified entry is responsible for propagating the update to
-// the L2 (software cache in HBM) — the ctrl performs that propagation on
-// release.
+// reference count tracks use. A writer moves the entry to Modified. The last
+// releaser hands the page down to the L2 (software cache in HBM): a Modified
+// buffer is propagated (the line ends MODIFIED), a clean one is demoted (the
+// line ends READY) — the ctrl performs both on release. A write through
+// another path detaches the entry instead: new readers miss it, its holders
+// keep their snapshot, and its last release hands nothing down.
 //
 // The sharing decision is a CRTP policy, mirroring the customization hook
 // the paper exposes; NeverSharePolicy compiles the table away (the paper's
@@ -16,6 +18,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/check.h"
@@ -42,6 +45,9 @@ struct AGILE_CAPABILITY("share-entry") ShareEntry {
   AgileBuf* buf = nullptr;
   std::uint32_t refCount = 0;
   ShareState state = ShareState::kExclusive;
+  // Set by ShareTable::invalidate: out of lookup, alive until its last
+  // holder releases it.
+  bool detached = false;
   // An owner that wants its buffer back while sharers still read through it
   // parks here; the release dropping refCount to 1 (owner-only) notifies.
   // Without this, an owner that releases and immediately reuses its buffer
@@ -77,6 +83,16 @@ struct ShareStats {
   std::uint64_t inserts = 0;
   std::uint64_t releases = 0;
   std::uint64_t propagations = 0;  // Modified data pushed to the L2 cache
+  std::uint64_t demotions = 0;     // clean pages installed in the L2 cache
+};
+
+// What the caller of ShareTable::release must do with the buffer.
+enum class ShareRelease : std::uint8_t {
+  kHeld,          // other holders remain
+  kLastClean,     // last reference to a live clean entry: demote it
+  kLastModified,  // last reference to a live Modified entry: propagate it
+  kLastDetached,  // last reference to an invalidated entry: a newer write
+                  // owns the page, so nothing is handed down
 };
 
 template <class Policy>
@@ -89,7 +105,9 @@ class ShareTable {
   Policy& policy() { return policy_; }
   const ShareStats& stats() const { return stats_; }
   void resetStats() { stats_ = {}; }
-  std::size_t size() const { return map_.size(); }
+  void noteDemotion() { ++stats_.demotions; }
+  // Live entries plus detached ones whose holders have not all released.
+  std::size_t size() const { return map_.size() + detached_.size(); }
 
   // Probe for an existing owner of `tag`; on hit, attach (refCount++).
   AGILE_NODISCARD("the entry is the attach handle; it must be released")
@@ -127,36 +145,70 @@ class ShareTable {
   // A holder writes through its pointer: entry moves to Modified.
   void markModified(ShareEntry& entry) { entry.state = ShareState::kModified; }
 
-  // Detach one holder. Returns true (with *needPropagate set) when this was
-  // the last reference: the entry is removed and, if Modified, the caller
-  // must propagate the buffer to the software cache before reusing it.
+  // Detach one holder. Anything but kHeld means this was the last
+  // reference: the entry is destroyed, so the caller must read what it
+  // needs from it first.
   AGILE_NODISCARD(
-      "true means last reference: the caller owns removal and, when "
-      "*needPropagate, MUST write the buffer back before reusing it")
-  bool release(gpu::KernelCtx& ctx, ShareEntry& entry, bool* needPropagate) {
+      "kLastModified means the caller MUST write the buffer back before "
+      "reusing it")
+  ShareRelease release(gpu::KernelCtx& ctx, ShareEntry& entry) {
     ctx.charge(cost::kShareRelease);
     AGILE_CHECK(entry.refCount > 0);
     ++stats_.releases;
     --entry.refCount;
-    if (entry.refCount != 0) return false;
-    *needPropagate = entry.state == ShareState::kModified;
-    if (*needPropagate) ++stats_.propagations;
+    if (entry.refCount != 0) return ShareRelease::kHeld;
+    if (entry.detached) {
+      for (auto it = detached_.begin(); it != detached_.end(); ++it) {
+        if (&it->mapped() == &entry) {
+          detached_.erase(it);
+          return ShareRelease::kLastDetached;
+        }
+      }
+      AGILE_CHECK_MSG(false, "detached share entry not tracked");
+    }
+    const bool modified = entry.state == ShareState::kModified;
+    if (modified) ++stats_.propagations;
     map_.erase(entry.tag);
-    return true;
+    return modified ? ShareRelease::kLastModified : ShareRelease::kLastClean;
   }
 
-  // Writers through other paths (asyncWrite / array store) invalidate the
-  // tracked buffer for future readers; current holders keep their snapshot.
-  void invalidate(std::uint64_t tag) { map_.erase(tag); }
+  // Writers through other paths (asyncWrite / array store) take the tracked
+  // buffer out of lookup so future readers miss it. The entry itself stays
+  // alive until its last holder releases: attached holders keep both their
+  // snapshot and a valid entry pointer, and the owner's releaseOwned still
+  // finds it to drain them.
+  void invalidate(std::uint64_t tag) {
+    auto node = map_.extract(tag);
+    if (node.empty()) return;
+    node.mapped().detached = true;
+    detached_.push_back(std::move(node));
+  }
 
+  // The live entry for `tag`, if any.
   ShareEntry* find(std::uint64_t tag) AGILE_LIFETIME_BOUND {
     auto it = map_.find(tag);
     return it == map_.end() ? nullptr : &it->second;
   }
 
+  // The entry, live or detached, that `buf` owns for `tag`; nullptr if the
+  // buffer owns none (its read resolved from the cache or a peer).
+  ShareEntry* findOwned(std::uint64_t tag,
+                        const AgileBuf* buf) AGILE_LIFETIME_BOUND {
+    ShareEntry* e = find(tag);
+    if (e != nullptr && e->buf == buf) return e;
+    for (auto& node : detached_) {
+      if (node.key() == tag && node.mapped().buf == buf) return &node.mapped();
+    }
+    return nullptr;
+  }
+
  private:
   Policy policy_;
-  std::unordered_map<std::uint64_t, ShareEntry> map_;
+  using Map = std::unordered_map<std::uint64_t, ShareEntry>;
+  Map map_;
+  // Invalidated entries with holders left. Extracted map nodes keep the
+  // entry at the address its holders point at; normally empty.
+  std::vector<Map::node_type> detached_;
   ShareStats stats_;
 };
 

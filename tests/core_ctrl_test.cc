@@ -20,7 +20,8 @@ struct CtrlFixture : ::testing::Test {
 
   void build(std::uint32_t cacheLines = 64, std::uint32_t qps = 2,
              std::uint32_t depth = 64, std::uint32_t ssds = 1,
-             SimTime kernelTimeout = HostConfig{}.kernelTimeout) {
+             SimTime kernelTimeout = HostConfig{}.kernelTimeout,
+             const nvme::FaultPlan* fault = nullptr) {
     HostConfig cfg;
     cfg.kernelTimeout = kernelTimeout;
     cfg.queuePairsPerSsd = qps;
@@ -31,6 +32,7 @@ struct CtrlFixture : ::testing::Test {
       nvme::SsdConfig ssd;
       ssd.name = "nvme" + std::to_string(i);
       ssd.capacityLbas = 65536;
+      if (fault != nullptr) ssd.fault = *fault;
       host->addNvmeDev(ssd);
     }
     host->initNvme();
@@ -390,6 +392,200 @@ TEST_F(CtrlFixture, ReleaseOwnedSparesPeerEntry) {
   EXPECT_TRUE(survived);
   EXPECT_EQ(entryBuf, &peer);
   EXPECT_EQ(afterPeer, 0u);
+}
+
+// The last release of a clean owned buffer demotes its page into the
+// software cache: the next asyncRead of the page copies it from HBM instead
+// of reading flash, and the demotion probe counts as no demand lookup.
+TEST_F(CtrlFixture, CleanOwnerReleaseDemotesToCache) {
+  build();
+  auto* memA = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  auto* memB = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  AgileBuf bufA(memA), bufB(memB);
+  bool ok = false;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "demote"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        AgileBufPtr a(bufA);
+        co_await ctrl->asyncRead(ctx, 0, 40, a, chain);  // miss: owner
+        (void)co_await ctrl->waitBuf(ctx, a);
+        co_await ctrl->releaseOwned(ctx, 0, 40, a, chain);
+        AgileBufPtr b(bufB);
+        co_await ctrl->asyncRead(ctx, 0, 40, b, chain);
+        ok = co_await ctrl->waitBuf(ctx, b);
+      }));
+  EXPECT_TRUE(ok);
+  std::byte expect[nvme::kLbaBytes];
+  nvme::FlashStore::defaultPattern(40, expect);
+  EXPECT_EQ(std::memcmp(memB, expect, nvme::kLbaBytes), 0);
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
+  EXPECT_EQ(ctrl->shareTable().stats().demotions, 1u);
+  EXPECT_EQ(ctrl->shareTable().stats().propagations, 0u);
+  EXPECT_EQ(ctrl->shareTable().size(), 0u);
+  // The owner's probe missed and the reread hit; the demotion is neither.
+  EXPECT_EQ(ctrl->cache().stats().misses, 1u);
+  EXPECT_EQ(ctrl->cache().stats().hits, 1u);
+}
+
+// A read that failed leaves no trustworthy bytes in the buffer: its release
+// must not install them in the cache.
+TEST_F(CtrlFixture, FailedReadIsNotDemoted) {
+  nvme::FaultPlan fault;
+  fault.enabled = true;
+  fault.readErrorRate = 1.0;  // retries are off: the error reaches waitBuf
+  build(/*cacheLines=*/64, /*qps=*/2, /*depth=*/64, /*ssds=*/1,
+        HostConfig{}.kernelTimeout, &fault);
+  auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  AgileBuf buf(mem);
+  bool ok = true;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "demote-fail"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        AgileBufPtr ptr(buf);
+        co_await ctrl->asyncRead(ctx, 0, 40, ptr, chain);
+        ok = co_await ctrl->waitBuf(ctx, ptr);
+        co_await ctrl->releaseOwned(ctx, 0, 40, ptr, chain);
+      }));
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(ctrl->shareTable().stats().demotions, 0u);
+  EXPECT_EQ(ctrl->shareTable().size(), 0u);
+  EXPECT_EQ(ctrl->cache().findLine(makeTag(0, 40)), DefaultCtrl::Cache::npos);
+}
+
+// A write that lands between the owner's read and its release makes the
+// buffer stale: the release demotes nothing, and a reread returns the
+// written word from flash.
+TEST_F(CtrlFixture, WriteBeforeReleaseBlocksDemotion) {
+  build();
+  auto* memA = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  auto* memW = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  auto* memC = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  AgileBuf bufA(memA), bufW(memW), bufC(memC);
+  std::uint64_t reread = 0;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "demote-write"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        AgileBufPtr a(bufA);
+        co_await ctrl->asyncRead(ctx, 0, 40, a, chain);
+        (void)co_await ctrl->waitBuf(ctx, a);
+        AgileBufPtr w(bufW);
+        w.as<std::uint64_t>()[0] = 0xbeef;
+        co_await ctrl->asyncWrite(ctx, 0, 40, w, chain);
+        (void)co_await ctrl->waitBuf(ctx, w);
+        co_await ctrl->releaseOwned(ctx, 0, 40, a, chain);
+        AgileBufPtr c(bufC);
+        co_await ctrl->asyncRead(ctx, 0, 40, c, chain);
+        (void)co_await ctrl->waitBuf(ctx, c);
+        reread = c.as<std::uint64_t>()[0];
+        co_await ctrl->releaseOwned(ctx, 0, 40, c, chain);
+      }));
+  EXPECT_EQ(reread, 0xbeefu);
+  // Only the reread's clean release demotes.
+  EXPECT_EQ(ctrl->shareTable().stats().demotions, 1u);
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 2u);
+  EXPECT_EQ(ctrl->shareTable().size(), 0u);
+}
+
+// With every line BUSY the demotion is dropped on the spot: a release that
+// parked for a free line would wait on fills that only this lane's later
+// cancels can release, and the kernel would never end.
+TEST_F(CtrlFixture, AllBusyCacheDropsDemotion) {
+  build(/*cacheLines=*/2);
+  auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  AgileBuf buf(mem);
+  bool cancelled = false;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "demote-stall"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        // Two speculative prefetches hold both lines BUSY for 10 ms.
+        const IoToken t1 = co_await ctrl->submitPrefetch(ctx, 0, 1, chain,
+                                                         10'000'000);
+        const IoToken t2 = co_await ctrl->submitPrefetch(ctx, 0, 2, chain,
+                                                         10'000'000);
+        AgileBufPtr ptr(buf);
+        co_await ctrl->asyncRead(ctx, 0, 40, ptr, chain);
+        (void)co_await ctrl->waitBuf(ctx, ptr);
+        co_await ctrl->releaseOwned(ctx, 0, 40, ptr, chain);
+        cancelled = ctrl->cancel(ctx, t1) && ctrl->cancel(ctx, t2);
+      }));
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(ctrl->shareTable().stats().demotions, 0u);
+  EXPECT_EQ(ctrl->cache().stats().victimStalls, 1u);
+  EXPECT_EQ(ctrl->cache().busyLines(), 0u);
+  EXPECT_EQ(ctrl->shareTable().size(), 0u);
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
+}
+
+// Regression: asyncWrite invalidating a page whose Share-Table entry still
+// has holders. Erasing the entry there makes the attached peer's releaseBuf
+// read freed memory and lets the owner's releaseOwned return without
+// draining the peer. The entry must stay alive until its last holder
+// releases, keep the owner parked until the peer detaches, and hand nothing
+// down to the cache (the write is newer).
+TEST_F(CtrlFixture, WriteInvalidatesHeldShareEntrySafely) {
+  build();
+  auto* memA = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  auto* memB = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  auto* memW = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
+  // The peer reads through the owner's buffer: keep both outside the
+  // coroutine frames.
+  AgileBuf bufA(memA), bufB(memB), bufW(memW);
+  bool peerShared = false;
+  SimTime peerReleasedAt = 0, ownerReleasedAt = 0;
+  std::uint64_t reread = 0;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 3, .name = "share-invalidate"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        switch (ctx.threadIdx()) {
+          case 0: {  // owner
+            AgileBufPtr a(bufA);
+            co_await ctrl->asyncRead(ctx, 0, 40, a, chain);
+            (void)co_await ctrl->waitBuf(ctx, a);
+            co_await gpu::compute(ctx, 90'000);  // after the write
+            co_await ctrl->releaseOwned(ctx, 0, 40, a, chain);
+            ownerReleasedAt = ctx.engine().now();
+            break;
+          }
+          case 1: {  // peer, attached to the owner's entry
+            co_await gpu::compute(ctx, 2000);
+            AgileBufPtr b(bufB);
+            co_await ctrl->asyncRead(ctx, 0, 40, b, chain);
+            peerShared = b.isShared();
+            (void)co_await ctrl->waitBuf(ctx, b);
+            co_await gpu::compute(ctx, 150'000);  // after the owner parks
+            peerReleasedAt = ctx.engine().now();
+            co_await ctrl->releaseBuf(ctx, b, chain);
+            break;
+          }
+          default: {  // writer, once the owner's read has landed
+            co_await gpu::compute(ctx, 80'000);
+            AgileBufPtr w(bufW);
+            w.as<std::uint64_t>()[0] = 0xbeef;
+            co_await ctrl->asyncWrite(ctx, 0, 40, w, chain);
+            (void)co_await ctrl->waitBuf(ctx, w);
+            break;
+          }
+        }
+      }));
+  ASSERT_TRUE(peerShared);
+  EXPECT_GE(ownerReleasedAt, peerReleasedAt);  // the owner was drained
+  EXPECT_EQ(ctrl->shareTable().size(), 0u);
+  EXPECT_EQ(ctrl->shareTable().stats().demotions, 0u);
+  EXPECT_EQ(ctrl->shareTable().stats().propagations, 0u);
+  EXPECT_EQ(ctrl->cache().findLine(makeTag(0, 40)), DefaultCtrl::Cache::npos);
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "reread"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        reread = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 40 * 512,
+                                                         chain);
+      }));
+  EXPECT_EQ(reread, 0xbeefu);
 }
 
 TEST_F(CtrlFixture, AsyncWritePersistsAndKeepsCacheCoherent) {

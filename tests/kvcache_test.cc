@@ -135,6 +135,43 @@ TEST_F(KvFixture, PrefixShareAccounting) {
   EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
 }
 
+// With a cache that holds the whole pool, every block should reach flash at
+// most once per allocation: the shared prefix chunks are read by every
+// decode step of every sequence, and their clean Share-Table pages are
+// demoted into the cache on release instead of being read again.
+TEST_F(KvFixture, CacheCoveringPoolReadsEachBlockOnce) {
+  build(/*cacheLines=*/512, /*capacityLbas=*/512);
+  KvConfig cfg;
+  cfg.maxBatch = 4;
+  cfg.poolBlocks = 512;
+  KvServer server(*host, *ctrl, cfg);
+
+  // 24 requests from two families sharing a 32-token (8-chunk) prefix.
+  Rng rng(77);
+  std::vector<std::vector<std::uint32_t>> prefixes = {
+      makePrompt(rng, 32, cfg.vocab), makePrompt(rng, 32, cfg.vocab)};
+  std::vector<KvRequest> reqs(24);
+  for (std::uint64_t id = 0; id < reqs.size(); ++id) {
+    KvRequest& r = reqs[id];
+    r.id = id;
+    r.prompt = prefixes[id % 2];
+    const auto tail = makePrompt(rng, 16, cfg.vocab);
+    r.prompt.insert(r.prompt.end(), tail.begin(), tail.end());
+    r.maxNewTokens = 16;
+    server.enqueue(r);
+  }
+  ASSERT_TRUE(server.run());
+
+  for (const KvRequestStats& st : server.retired()) {
+    EXPECT_EQ(st.generated, referenceDecode(cfg, reqs[st.id]).generated);
+  }
+  EXPECT_GT(server.stats().sharedReads, 0u);
+  EXPECT_GT(ctrl->shareTable().stats().demotions, 0u);
+  EXPECT_LE(host->ssd(0).readsCompleted(), server.stats().blocksAllocated);
+  EXPECT_EQ(ctrl->shareTable().size(), 0u);
+  EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
+}
+
 // Decode keeps a window of shared-chunk reads in flight per sequence
 // instead of awaiting each one. Reading shared chunks one at a time, the
 // device never sees more than one read per sequence or one prefill write

@@ -56,11 +56,10 @@ TEST_F(ShareFixture, ReleaseCountsDown) {
   ASSERT_TRUE(run1([&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
     auto* e = table.registerOwner(ctx, makeTag(0, 9), buf);
     (void)table.attach(ctx, makeTag(0, 9));
-    bool prop = true;
-    EXPECT_FALSE(table.release(ctx, *e, &prop));  // one holder remains
+    // One holder remains, then the last one leaves a clean page behind.
+    EXPECT_EQ(table.release(ctx, *e), ShareRelease::kHeld);
     EXPECT_EQ(table.size(), 1u);
-    EXPECT_TRUE(table.release(ctx, *e, &prop));   // last holder
-    EXPECT_FALSE(prop);                           // clean: no propagation
+    EXPECT_EQ(table.release(ctx, *e), ShareRelease::kLastClean);
     EXPECT_EQ(table.size(), 0u);
     co_return;
   }));
@@ -73,9 +72,8 @@ TEST_F(ShareFixture, ModifiedRequiresPropagation) {
     auto* e = table.registerOwner(ctx, makeTag(0, 2), buf);
     table.markModified(*e);
     EXPECT_EQ(e->state, ShareState::kModified);
-    bool prop = false;
-    EXPECT_TRUE(table.release(ctx, *e, &prop));
-    EXPECT_TRUE(prop);  // last releaser must push to the L2 cache
+    // The last releaser must push to the L2 cache.
+    EXPECT_EQ(table.release(ctx, *e), ShareRelease::kLastModified);
     co_return;
   }));
   EXPECT_EQ(table.stats().propagations, 1u);
@@ -85,12 +83,41 @@ TEST_F(ShareFixture, InvalidateRemovesEntry) {
   ShareTable<DefaultSharePolicy> table;
   AgileBuf buf;
   ASSERT_TRUE(run1([&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-    table.registerOwner(ctx, makeTag(0, 3), buf);
+    (void)table.registerOwner(ctx, makeTag(0, 3), buf);
     table.invalidate(makeTag(0, 3));
     EXPECT_EQ(table.find(makeTag(0, 3)), nullptr);
     EXPECT_EQ(table.attach(ctx, makeTag(0, 3)), nullptr);
     co_return;
   }));
+}
+
+// An invalidated entry leaves lookup at once but stays alive for the
+// holders that still point at it; its last release hands nothing down.
+TEST_F(ShareFixture, InvalidateDetachesUntilLastRelease) {
+  ShareTable<DefaultSharePolicy> table;
+  AgileBuf owner, next;
+  const std::uint64_t tag = makeTag(0, 3);
+  ASSERT_TRUE(run1([&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+    ShareEntry* e = table.registerOwner(ctx, tag, owner);
+    EXPECT_EQ(table.attach(ctx, tag), e);
+    table.markModified(*e);
+    table.invalidate(tag);
+    EXPECT_TRUE(e->detached);
+    EXPECT_EQ(table.findOwned(tag, &owner), e);
+    // A new reader registers afresh beside the detached entry.
+    ShareEntry* fresh = table.registerOwner(ctx, tag, next);
+    EXPECT_NE(fresh, e);
+    EXPECT_EQ(table.size(), 2u);
+    EXPECT_EQ(table.release(ctx, *e), ShareRelease::kHeld);
+    EXPECT_EQ(e->refCount, 1u);
+    EXPECT_EQ(table.release(ctx, *e), ShareRelease::kLastDetached);
+    EXPECT_EQ(table.findOwned(tag, &owner), nullptr);
+    EXPECT_EQ(table.find(tag), fresh);
+    EXPECT_EQ(table.release(ctx, *fresh), ShareRelease::kLastClean);
+    EXPECT_EQ(table.size(), 0u);
+    co_return;
+  }));
+  EXPECT_EQ(table.stats().propagations, 0u);  // the write is newer
 }
 
 TEST_F(ShareFixture, DistinctTagsIndependent) {
