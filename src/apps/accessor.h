@@ -178,6 +178,20 @@ class AgileAccessor {
     }
   }
 
+  // Fire-and-forget prefetch of the pages holding idxs[0..n), in order, so
+  // their SSD reads overlap one another instead of waiting for a gather's
+  // window to reach them. Stops at the first page whose shard is saturated
+  // (the gather's pressure rule): past it, more fills would evict pages
+  // the warm itself just claimed.
+  gpu::GpuTask<void> warm(gpu::KernelCtx& ctx,
+                          std::span<const std::uint64_t> idxs,
+                          core::AgileLockChain& chain) {
+    for (const std::uint64_t idx : idxs) {
+      if (shardSaturated(ctx, idx)) co_return;
+      co_await prefetchElemDivergent(ctx, idx, chain);
+    }
+  }
+
   Ctrl& ctrl() { return *ctrl_; }
   const core::StripeMap& stripe() const { return stripe_; }
 

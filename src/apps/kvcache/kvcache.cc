@@ -451,6 +451,23 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
   AgileAccessor<std::uint64_t> acc(*ctrl_, cfg_.dev);
   const std::uint32_t tpb = cfg_.tokensPerBlock();
   const auto chunks = static_cast<std::uint32_t>(s.blocks[0].size());
+
+  // Step warm: prefetch the private pages this step will gather, layer 0
+  // first and chunks in read order, so their SSD misses overlap instead of
+  // each layer's gather window finding them one layer at a time. Bounded by
+  // one sequence's fair share of the cache and by the gather's shard
+  // pressure rule. Shared chunks stay on the Share-Table path.
+  const std::size_t warmPages = ctrl_->cache().lineCount() / cfg_.maxBatch;
+  s.gatherIdx.clear();
+  for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
+    for (std::uint32_t c = 0; c < chunks && s.gatherIdx.size() < warmPages;
+         ++c) {
+      const std::uint32_t b = s.blocks[l][c];
+      if (pool_.refOf(b) == 1) s.gatherIdx.push_back(headElem(b, 0));
+    }
+  }
+  co_await acc.warm(ctx, s.gatherIdx, chain);
+
   std::uint64_t h = 0;
   for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
     // Overlap this layer's gather with a deferred prefetch of the next

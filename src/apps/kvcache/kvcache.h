@@ -3,6 +3,10 @@
 // gathered through the AGILE software cache at attention time, and shared
 // across requests with a common prompt prefix. One decode step per sequence:
 //
+//   step warm: fire-and-forget prefetch of the step's private pages, layer 0
+//     first, chunks in read order, so their SSD misses overlap; stops at
+//     lineCount / maxBatch pages (one sequence's share of the cache) or at
+//     the first page whose cache shard is >= 3/4 BUSY
 //   for each layer L:
 //     speculative deferred prefetch of layer L+1's first pages   (PR-3 path)
 //     attention = sum over past tokens of their KV head word
@@ -91,7 +95,9 @@ struct KvConfig {
   std::uint32_t poolBlocks = 4096;   // flash blocks backing the paged KV
   // KV pages in flight per sequence on both read paths: the shared-chunk
   // landing ring holds this many pages (one when 0), and the private gather
-  // prefetches this many pages ahead (synchronous when 0).
+  // prefetches this many pages ahead (synchronous when 0). The step warm
+  // (see the decode-step diagram above) runs before either and is not
+  // bounded by this.
   std::uint32_t gatherDepth = 8;
   std::uint32_t vocab = 32000;
   bool speculativePrefetch = true;

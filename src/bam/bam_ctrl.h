@@ -179,8 +179,7 @@ class BamCtrl {
 
     core::QueuePairSet& qps = host_->queuePairs();
     const core::QpSlice all = qps.slice(dev);
-    const std::uint32_t preferred =
-        (ctx.globalThreadIdx() / gpu::kWarpSize) % all.count;
+    const std::uint32_t preferred = ctx.globalWarpIdx() % all.count;
 
     // Allocate a slot; on full queues a BaM thread must drain completions
     // itself (no service exists to do it), so it keeps its own loop instead
@@ -221,8 +220,7 @@ class BamCtrl {
     ctx.chargeSerialized(cost::kBamPollRound);  // CQ-lock section
     core::QueuePairSet& qps = host_->queuePairs();
     const core::QpSlice all = qps.slice(dev);
-    const std::uint32_t pairIdx =
-        all.first + (ctx.globalThreadIdx() / gpu::kWarpSize) % all.count;
+    const std::uint32_t pairIdx = all.first + ctx.globalWarpIdx() % all.count;
     core::AgileCq& cq = *qps.cqs[pairIdx];
     core::AgileSq& sq = *qps.sqs[pairIdx];
 

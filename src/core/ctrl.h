@@ -784,8 +784,7 @@ class AgileCtrl {
     }
     QueuePairSet& qps = host_->queuePairs();
     const QpSlice slice = qps.slice(dev, shard, shardTotal);
-    const std::uint32_t preferred =
-        (ctx.globalThreadIdx() / gpu::kWarpSize) % slice.count;
+    const std::uint32_t preferred = ctx.globalWarpIdx() % slice.count;
     for (;;) {
       const SimTime now = host_->engine().now();
       const SlotGrant g = qps.acquireSlot(slice, preferred, now);
@@ -1097,8 +1096,7 @@ class AgileCtrl {
     const QpSlice all = qps.slice(dev);
     // A width-1 slice at the warp-preferred queue pair: every slot of the
     // run lands on one SQ, so one doorbell write covers it.
-    const QpSlice one{
-        all.first + (ctx.globalThreadIdx() / gpu::kWarpSize) % all.count, 1};
+    const QpSlice one{all.first + ctx.globalWarpIdx() % all.count, 1};
     AgileSq& sq = *qps.sqs[one.first];
 
     // Gather this device's commands preserving batch order.

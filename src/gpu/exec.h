@@ -361,6 +361,12 @@ class KernelCtx {
   }
   std::uint32_t laneId() const { return lane_->laneId(); }
   std::uint32_t warpId() const { return lane_->warp().warpId(); }
+  // Grid-wide warp index. Warps never span blocks, so a block whose
+  // blockDim is not a multiple of kWarpSize still owns a warp index of its
+  // own (globalThreadIdx() / kWarpSize would fold small blocks together).
+  std::uint32_t globalWarpIdx() const {
+    return blockIdx() * ceilDiv(blockDim(), kWarpSize) + warpId();
+  }
 
   Gpu& gpu() { return block_->gpu(); }
   sim::Engine& engine() { return gpu().engine(); }

@@ -173,6 +173,29 @@ TEST_F(CtrlFixture, AsyncReadIntoBuffer) {
   EXPECT_EQ(ctrl->stats().directReads, 1u);
 }
 
+// SQ selection starts from the issuing warp's queue pair, and warps never
+// span blocks: two single-lane blocks are two warps, so their reads land on
+// two different SQs instead of both on queue pair 0.
+TEST_F(CtrlFixture, SingleLaneBlocksTakeDifferentSqs) {
+  build(/*cacheLines=*/64, /*qps=*/2);
+  auto* mem = host->gpu().hbm().allocBytes(2 * nvme::kLbaBytes);
+  int ok = 0;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 2, .blockDim = 1, .name = "two-blocks"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        AgileBuf buf(mem + ctx.blockIdx() * nvme::kLbaBytes);
+        AgileBufPtr ptr(buf);
+        co_await ctrl->asyncRead(ctx, 0, 40 + ctx.blockIdx(), ptr, chain);
+        ok += co_await ctrl->waitBuf(ctx, ptr) ? 1 : 0;
+      }));
+  EXPECT_EQ(ok, 2);
+  const auto& sqs = host->queuePairs().sqs;
+  ASSERT_EQ(sqs.size(), 2u);
+  EXPECT_EQ(sqs[0]->totalIssued, 1u);
+  EXPECT_EQ(sqs[1]->totalIssued, 1u);
+}
+
 TEST_F(CtrlFixture, AsyncReadHitCopiesFromCache) {
   build();
   auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);

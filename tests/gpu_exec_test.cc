@@ -58,6 +58,34 @@ TEST_F(GpuFixture, ThreadCoordinatesAreConsistent) {
   EXPECT_TRUE(ok);
 }
 
+// Warps never span blocks: a 70-thread block owns three warps (32 + 32 + 6
+// lanes), and a 1-thread block owns one, so every block's warps get grid
+// indices of their own.
+TEST_F(GpuFixture, GlobalWarpIdxCountsPartialWarpsPerBlock) {
+  for (const std::uint32_t blockDim : {1u, 70u}) {
+    const std::uint32_t warpsPerBlock = (blockDim + kWarpSize - 1) / kWarpSize;
+    const std::uint32_t gridDim = 5;
+    std::vector<std::uint32_t> lanesPerWarp(gridDim * warpsPerBlock, 0);
+    bool ok = true;
+    auto k = gpu.launch(
+        {.gridDim = gridDim, .blockDim = blockDim, .name = "warps"},
+        [&](KernelCtx& ctx) -> GpuTask<void> {
+          const std::uint32_t w = ctx.globalWarpIdx();
+          ok &= w == ctx.blockIdx() * warpsPerBlock +
+                         ctx.threadIdx() / kWarpSize;
+          if (w < lanesPerWarp.size()) ++lanesPerWarp[w];
+          co_return;
+        });
+    ASSERT_TRUE(gpu.wait(k));
+    EXPECT_TRUE(ok) << "blockDim " << blockDim;
+    for (std::uint32_t w = 0; w < lanesPerWarp.size(); ++w) {
+      const std::uint32_t first = (w % warpsPerBlock) * kWarpSize;
+      EXPECT_EQ(lanesPerWarp[w], std::min(kWarpSize, blockDim - first))
+          << "blockDim " << blockDim << " warp " << w;
+    }
+  }
+}
+
 TEST_F(GpuFixture, ComputeChargesVirtualTime) {
   auto k = gpu.launch({.gridDim = 1, .blockDim = 32, .name = "busy"},
                       [&](KernelCtx& ctx) -> GpuTask<void> {

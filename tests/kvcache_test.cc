@@ -205,6 +205,37 @@ TEST_F(KvFixture, SharedReadsPipelinePerSequence) {
   EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
 }
 
+// Decode warms a step's private pages up front instead of letting each
+// layer's gather find its misses one window at a time. One request with 16
+// private prompt chunks (64 pages over 4 layers) and a cache that holds
+// them all: the first decode step misses every page, and the warm must put
+// most of them in flight at once. A per-layer window alone peaks near
+// gatherDepth + specPagesPerStep reads; prefill writes peak at numLayers.
+TEST_F(KvFixture, StepWarmOverlapsPrivateMisses) {
+  build(/*cacheLines=*/128);
+  KvConfig cfg;
+  cfg.maxBatch = 1;  // the warm's fair share is the whole cache
+  cfg.poolBlocks = 512;
+  KvServer server(*host, *ctrl, cfg);
+
+  Rng rng(55);
+  KvRequest req;
+  req.id = 0;
+  req.prompt = makePrompt(rng, 64, cfg.vocab);
+  req.maxNewTokens = 2;
+  server.enqueue(req);
+  ASSERT_TRUE(server.run());
+
+  ASSERT_EQ(server.retired().size(), 1u);
+  EXPECT_EQ(server.retired()[0].generated,
+            referenceDecode(cfg, req).generated);
+  EXPECT_EQ(server.stats().sharedReads, 0u);
+  EXPECT_GE(host->ssd(0).readsCompleted(), 64u);
+  EXPECT_GE(host->ssd(0).maxObservedOutstanding(), 32u);
+  EXPECT_EQ(ctrl->cache().busyLines(), 0u);
+  EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
+}
+
 // EOS fires with next-step speculative prefetches still inside their
 // cancellation window: cancel must release the claimed lines and retire
 // the tokens, leaving no BUSY line, no live op slot, no pinned staging
