@@ -63,7 +63,7 @@ RunResult runGather(std::uint32_t depth, bool speculative,
   auto host = bench::makeHost(tb);
   core::DefaultCtrl ctrl(*host, core::CtrlConfig{.cacheLines = cacheLines});
   host->startAgile();
-  apps::AgileAccessor<std::uint64_t> acc(ctrl, 0);
+  apps::AgileAccessor<std::uint64_t> acc(ctrl);
 
   // Pseudo-random but deterministic per-thread index streams over a range
   // ~8x the cache, so the gather misses most of the time.

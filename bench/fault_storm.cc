@@ -102,8 +102,7 @@ StormResult runStorm(const StormConfig& sc, bool quick) {
             const std::uint64_t lba =
                 static_cast<std::uint64_t>(tid) * opsPerThread + op;
             const std::uint64_t v =
-                co_await ctrl.arrayRead<std::uint64_t>(ctx, 0, lba * 512,
-                                                       chain);
+                co_await ctrl.arrayRead<std::uint64_t>(ctx, lba * 512, chain);
             if (v == nvme::FlashStore::patternWord(lba, 0)) {
               ++completed;
             } else {

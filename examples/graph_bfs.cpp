@@ -36,7 +36,7 @@ int main() {
                          core::CtrlConfig{.cacheLines = 1024});
   host.startAgile();
 
-  apps::AgileAccessor<std::uint32_t> colAcc{ctrl, /*dev=*/0};
+  apps::AgileAccessor<std::uint32_t> colAcc{ctrl};
   std::vector<std::uint32_t> dist;
   const SimTime t0 = host.engine().now();
   const bool ok = apps::runBfs(host, g, colAcc, /*source=*/0, &dist);

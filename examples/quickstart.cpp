@@ -61,7 +61,7 @@ int main() {
         co_await ctrl.prefetch(ctx, /*dev=*/0, /*lba=*/7, chain);
         if (ctx.threadIdx() == 0) {
           viaPrefetch = co_await ctrl.arrayRead<std::uint64_t>(
-              ctx, 0, 7 * 512 + 1, chain);  // word 1 of page 7
+              ctx, 7 * 512 + 1, chain);  // word 1 of page 7
 
           // Method 2: async_issue into a user buffer + barrier wait.
           core::AgileBufPtr ptr(buf);
@@ -72,10 +72,10 @@ int main() {
 
           // Method 3: array-like synchronous view of the SSD.
           viaArray = co_await ctrl.arrayRead<std::uint64_t>(
-              ctx, 0, 7 * 512 + 3, chain);
+              ctx, 7 * 512 + 3, chain);
 
           // Writes go through the same cache coherently.
-          co_await ctrl.arrayWrite<std::uint64_t>(ctx, 0, 7 * 512 + 4,
+          co_await ctrl.arrayWrite<std::uint64_t>(ctx, 7 * 512 + 4,
                                                   4242, chain);
 
           // Method 4: the unified token surface. A batch submits N

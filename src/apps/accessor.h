@@ -67,31 +67,26 @@ class NativeAccessor {
   std::span<const T> data_;
 };
 
-// AGILE array view over an SSD stripe group: synchronous reads plus the
-// asynchronous token surface. All element->(device, page) math goes through
-// core::elemAddr so the sync and async paths cannot drift. The legacy
-// (ctrl, dev) constructor pins a single device — a width-1 stripe, bit-exact
-// with the pre-stripe accessor; the (ctrl) form adopts the controller's
-// configured StripeMap so the same kernel spreads over N devices unchanged.
+// AGILE array view over the controller's stripe group: synchronous reads
+// plus the asynchronous token surface. Every element->(device, page)
+// resolution goes through core::elemAddr over ctrl.stripe(), the map the
+// controller's own array API uses, so the sync and async paths cannot drift
+// and the same kernel spreads over N devices unchanged.
 template <class T, class Ctrl = core::DefaultCtrl>
 class AgileAccessor {
  public:
-  AgileAccessor(Ctrl& ctrl, std::uint32_t dev)
-      : ctrl_(&ctrl), stripe_{1, 1, dev} {}
-  explicit AgileAccessor(Ctrl& ctrl)
-      : ctrl_(&ctrl), stripe_(ctrl.stripe()) {}
+  explicit AgileAccessor(Ctrl& ctrl) : ctrl_(&ctrl) {}
 
   gpu::GpuTask<T> read(gpu::KernelCtx& ctx, std::uint64_t idx,
                        core::AgileLockChain& chain) {
-    co_return co_await ctrl_->template arrayReadAt<T>(
-        ctx, core::elemAddr<T>(idx, stripe_), chain);
+    co_return co_await ctrl_->template arrayRead<T>(ctx, idx, chain);
   }
 
   // Warp-converged prefetch of the page holding element `idx` (first-level
   // coalescing elects a leader; requires converged lanes).
   gpu::GpuTask<void> prefetchElem(gpu::KernelCtx& ctx, std::uint64_t idx,
                                   core::AgileLockChain& chain) {
-    const auto at = core::elemAddr<T>(idx, stripe_);
+    const auto at = addr(idx);
     co_await ctrl_->prefetch(ctx, at.dev, at.lba, chain);
   }
 
@@ -99,7 +94,7 @@ class AgileAccessor {
   gpu::GpuTask<void> prefetchElemDivergent(gpu::KernelCtx& ctx,
                                            std::uint64_t idx,
                                            core::AgileLockChain& chain) {
-    const auto at = core::elemAddr<T>(idx, stripe_);
+    const auto at = addr(idx);
     co_await ctrl_->prefetchDivergent(ctx, at.dev, at.lba, chain);
   }
 
@@ -109,7 +104,7 @@ class AgileAccessor {
   gpu::GpuTask<core::IoToken> prefetchElemSpeculative(
       gpu::KernelCtx& ctx, std::uint64_t idx, core::AgileLockChain& chain,
       SimTime delayNs) {
-    const auto at = core::elemAddr<T>(idx, stripe_);
+    const auto at = addr(idx);
     co_return co_await ctrl_->submitPrefetch(ctx, at.dev, at.lba, chain,
                                              delayNs);
   }
@@ -121,7 +116,7 @@ class AgileAccessor {
                                         std::uint64_t idx,
                                         core::AgileBufPtr& buf,
                                         core::AgileLockChain& chain) {
-    const auto at = core::elemAddr<T>(idx, stripe_);
+    const auto at = addr(idx);
     co_return co_await ctrl_->submitRead(ctx, at.dev, at.lba, buf, chain);
   }
 
@@ -143,7 +138,7 @@ class AgileAccessor {
   // single word access.
   bool shardSaturated(gpu::KernelCtx& ctx, std::uint64_t idx) {
     auto& cache = ctrl_->cache();
-    const auto at = core::elemAddr<T>(idx, stripe_);
+    const auto at = addr(idx);
     const std::uint32_t s = cache.shardOfTag(core::makeTag(at.dev, at.lba));
     ctx.charge(cost::kWordAccess);
     return cache.busyLines(s) * kPressureDen >=
@@ -169,12 +164,10 @@ class AgileAccessor {
           if (adaptive && ahead > i && shardSaturated(ctx, idxs[ahead])) {
             break;  // shard full: issuing more would evict our own window
           }
-          const auto pf = core::elemAddr<T>(idxs[ahead], stripe_);
-          co_await ctrl_->prefetchDivergent(ctx, pf.dev, pf.lba, chain);
+          co_await prefetchElemDivergent(ctx, idxs[ahead], chain);
         }
       }
-      out[i] = co_await ctrl_->template arrayReadAt<T>(
-          ctx, core::elemAddr<T>(idxs[i], stripe_), chain);
+      out[i] = co_await ctrl_->template arrayRead<T>(ctx, idxs[i], chain);
     }
   }
 
@@ -193,15 +186,17 @@ class AgileAccessor {
   }
 
   Ctrl& ctrl() { return *ctrl_; }
-  const core::StripeMap& stripe() const { return stripe_; }
 
   static constexpr gpu::IoApiPath kRegPath = gpu::IoApiPath::kAgileArrayRead;
   static constexpr gpu::IoApiPath kGatherRegPath =
       gpu::IoApiPath::kAgileGatherPipelined;
 
  private:
+  core::ElemAddr addr(std::uint64_t idx) const {
+    return core::elemAddr<T>(idx, ctrl_->stripe());
+  }
+
   Ctrl* ctrl_;
-  core::StripeMap stripe_;
 };
 
 // BaM synchronous reads over one SSD.

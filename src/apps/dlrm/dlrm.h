@@ -38,7 +38,6 @@ struct DlrmConfig {
   double zipfTheta = 1.2;
   MlpSpec bottomMlp;
   MlpSpec topMlp;
-  std::uint32_t embeddingDev = 0;  // SSD index holding the tables
 
   std::uint64_t totalRows() const {
     std::uint64_t n = 0;
@@ -84,7 +83,7 @@ struct DlrmRunResult {
   SimTime perEpochNs = 0;
   std::uint64_t cacheHits = 0;
   std::uint64_t cacheMisses = 0;
-  std::uint64_t ssdReads = 0;
+  std::uint64_t ssdReads = 0;  // completed reads, summed over every SSD
   // Nonzero marks a degraded run: some gather I/O was given up on (watchdog
   // or retry-budget exhaustion), so the affected rows contributed defaults.
   std::uint64_t ioAborted = 0;
@@ -104,7 +103,8 @@ enum class DlrmMode { kBam, kAgileSync, kAgileAsync };
 // Run `epochs` timed inference iterations at `batch` (after `warmupEpochs`
 // untimed cache-warming iterations, mirroring the steady state the paper's
 // 10,000-epoch runs measure); gathers go through `ctrl` (AGILE modes) or
-// `bamCtrl` (BaM mode) on `host`. AgileCtrlT is any AgileCtrl instantiation.
+// `bamCtrl` (BaM mode) on `host`. AgileCtrlT is any AgileCtrl instantiation;
+// in the AGILE modes the tables are laid out over its configured stripe.
 // gatherDepth > 0 (AGILE modes only) pipelines each thread's embedding
 // gather with depth-K prefetch-ahead (in kAgileAsync, over the residual
 // gather's pending rows); 0 reproduces the paper's per-row blocking gather

@@ -16,10 +16,6 @@ inline std::uint64_t rowToElem(const DlrmConfig& cfg, std::uint64_t row) {
   return row * (cfg.embDim * sizeof(float) / sizeof(std::uint64_t));
 }
 
-inline std::uint64_t rowToLba(const DlrmConfig& cfg, std::uint64_t row) {
-  return row / cfg.rowsPerPage();
-}
-
 inline gpu::LaunchConfig gatherLaunch(std::uint32_t batch, const char* name) {
   const std::uint32_t blockDim = std::min<std::uint32_t>(128, batch);
   const std::uint32_t gridDim =
@@ -36,17 +32,31 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
                       std::uint32_t epochs, std::uint32_t warmupEpochs,
                       std::uint32_t gatherDepth) {
   AGILE_CHECK(mode == DlrmMode::kBam ? bamCtrl != nullptr : ctrl != nullptr);
-  const std::uint32_t dev = cfg.embeddingDev;
   const std::uint32_t tables = cfg.numTables;
   const std::uint32_t totalEpochs = epochs + warmupEpochs;
   auto& engine = host.engine();
 
-  std::uint64_t ssdReadsBefore = host.ssd(dev).readsCompleted();
+  // The embedding word array is laid out over the AGILE controller's stripe
+  // (BaM reads it unstriped); every lookup resolves through this one map.
+  const core::StripeMap stripe =
+      mode == DlrmMode::kBam ? core::StripeMap{} : ctrl->stripe();
+  const auto rowAddr = [&](std::uint64_t row) {
+    return core::elemAddr<std::uint64_t>(detail::rowToElem(cfg, row), stripe);
+  };
+  const auto ssdReads = [&host] {
+    std::uint64_t n = 0;
+    for (std::uint32_t d = 0; d < host.ssdCount(); ++d) {
+      n += host.ssd(d).readsCompleted();
+    }
+    return n;
+  };
+
+  std::uint64_t ssdReadsBefore = ssdReads();
   const std::uint64_t abortsBefore =
       host.ioTimeouts() + host.ioHealth().aborted;
   std::uint64_t hitsBefore = 0, missesBefore = 0;
   auto snapshotStats = [&] {
-    ssdReadsBefore = host.ssd(dev).readsCompleted();
+    ssdReadsBefore = ssdReads();
     if (mode == DlrmMode::kBam) {
       hitsBefore = bamCtrl->cache().stats().hits;
       missesBefore = bamCtrl->cache().stats().misses;
@@ -97,18 +107,18 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
               const std::size_t ahead =
                   std::size_t{sAhead} * tables + tAhead % tables;
               if (wanted(ahead)) {
-                co_await ctrl->prefetchDivergent(
-                    ctx, dev, detail::rowToLba(cfg, rowsPtr[ahead]), chain);
+                const core::ElemAddr pf = rowAddr(rowsPtr[ahead]);
+                co_await ctrl->prefetchDivergent(ctx, pf.dev, pf.lba, chain);
               }
             }
           }
           const std::uint64_t elem = detail::rowToElem(cfg, rowsPtr[slot]);
           if (mode == DlrmMode::kBam) {
             words[slot] = co_await bamCtrl->template readElem<std::uint64_t>(
-                ctx, dev, elem, chain);
+                ctx, rowAddr(rowsPtr[slot]).dev, elem, chain);
           } else {
             words[slot] = co_await ctrl->template arrayRead<std::uint64_t>(
-                ctx, dev, elem, chain);
+                ctx, elem, chain);
           }
           ctx.charge(kEmbRowCopyNs);  // rest of the 128 B row copy
         }
@@ -132,7 +142,7 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
           ctx.charge(cost::kWordAccess);  // trace lookup
           const std::optional<std::uint64_t> word =
               co_await ctrl->template arrayReadOrFill<std::uint64_t>(
-                  ctx, dev, detail::rowToElem(cfg, rowsPtr[slot]), chain);
+                  ctx, detail::rowToElem(cfg, rowsPtr[slot]), chain);
           pending[slot] = word ? 0 : 1;
           if (word) {
             words[slot] = *word;
@@ -149,8 +159,7 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
   std::uint64_t wrongWords = 0;
   auto checkWords = [&](const std::vector<std::uint64_t>& rows) {
     for (std::size_t i = 0; i < slots; ++i) {
-      const core::ElemAddr at =
-          core::elemAddr<std::uint64_t>(detail::rowToElem(cfg, rows[i]));
+      const core::ElemAddr at = rowAddr(rows[i]);
       wrongWords += words[i] != nvme::FlashStore::patternWord(
                                     at.lba, at.byteOff / sizeof(std::uint64_t));
     }
@@ -219,7 +228,7 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
   DlrmRunResult res;
   res.totalNs = engine.now() - start;
   res.perEpochNs = res.totalNs / std::max(1u, epochs);
-  res.ssdReads = host.ssd(dev).readsCompleted() - ssdReadsBefore;
+  res.ssdReads = ssdReads() - ssdReadsBefore;
   if (mode == DlrmMode::kBam) {
     res.cacheHits = bamCtrl->cache().stats().hits - hitsBefore;
     res.cacheMisses = bamCtrl->cache().stats().misses - missesBefore;

@@ -324,8 +324,8 @@ gpu::GpuTask<void> KvServer::writeTailBufs(gpu::KernelCtx& ctx, Seq& s,
   batch.setTenant(s.req.tenant);
   for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
     ptrs[l].bindOwn(s.tailBufs[l]);
-    AGILE_CHECK(batch.addWrite(cfg_.dev, blockLba(s.blocks[l][chunk]),
-                               ptrs[l]));
+    const core::ElemAddr at = blockPage(s.blocks[l][chunk]);
+    AGILE_CHECK(batch.addWrite(at.dev, at.lba, ptrs[l]));
   }
   const core::IoToken t = co_await ctrl_->submitBatch(ctx, batch, chain);
   const bool ok = co_await ctrl_->wait(ctx, t);
@@ -383,8 +383,9 @@ gpu::GpuTask<void> KvServer::prefillSeq(gpu::KernelCtx& ctx, Seq& s,
 gpu::GpuTask<void> KvServer::issueShared(gpu::KernelCtx& ctx, Seq& s,
                                          std::size_t i,
                                          core::AgileLockChain& chain) {
-  co_await ctrl_->asyncRead(ctx, cfg_.dev, blockLba(s.sharedBlocks[i]),
-                            s.ringPtrs[i % ringPages()], chain, s.req.tenant);
+  const core::ElemAddr at = blockPage(s.sharedBlocks[i]);
+  co_await ctrl_->asyncRead(ctx, at.dev, at.lba, s.ringPtrs[i % ringPages()],
+                            chain, s.req.tenant);
 }
 
 // Wait for the layer's i-th shared read, sum its head words, and hand its
@@ -403,8 +404,8 @@ gpu::GpuTask<std::uint64_t> KvServer::drainShared(
   if (ptr.isShared()) {
     co_await ctrl_->releaseBuf(ctx, ptr, chain);
   } else {
-    co_await ctrl_->releaseOwned(ctx, cfg_.dev, blockLba(s.sharedBlocks[i]),
-                                 ptr, chain);
+    const core::ElemAddr at = blockPage(s.sharedBlocks[i]);
+    co_await ctrl_->releaseOwned(ctx, at.dev, at.lba, ptr, chain);
   }
   ++stats_.sharedReads;
   co_return sum;
@@ -448,7 +449,7 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
   for (const core::IoToken& t : s.specTokens) ctrl_->retire(t);
   s.specTokens.clear();
 
-  AgileAccessor<std::uint64_t> acc(*ctrl_, cfg_.dev);
+  AgileAccessor<std::uint64_t> acc(*ctrl_);
   const std::uint32_t tpb = cfg_.tokensPerBlock();
   const auto chunks = static_cast<std::uint32_t>(s.blocks[0].size());
 
@@ -476,9 +477,10 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
     if (cfg_.speculativePrefetch && l + 1 < cfg_.numLayers) {
       const std::uint32_t n = std::min(chunks, cfg_.specPagesPerStep);
       for (std::uint32_t c = 0; c < n; ++c) {
+        const core::ElemAddr at = blockPage(s.blocks[l + 1][c]);
         s.specTokens.push_back(co_await ctrl_->submitPrefetch(
-            ctx, cfg_.dev, blockLba(s.blocks[l + 1][c]), chain,
-            cfg_.speculativeDelayNs, s.req.tenant));
+            ctx, at.dev, at.lba, chain, cfg_.speculativeDelayNs,
+            s.req.tenant));
         ++stats_.speculativeIssued;
       }
     }
@@ -538,9 +540,10 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
   if (cfg_.speculativePrefetch) {
     const std::uint32_t n = std::min(chunks, cfg_.specPagesPerStep);
     for (std::uint32_t c = 0; c < n; ++c) {
+      const core::ElemAddr at = blockPage(s.blocks[0][c]);
       s.specTokens.push_back(co_await ctrl_->submitPrefetch(
-          ctx, cfg_.dev, blockLba(s.blocks[0][c]), chain,
-          cfg_.speculativeDelayNs, s.req.tenant));
+          ctx, at.dev, at.lba, chain, cfg_.speculativeDelayNs,
+          s.req.tenant));
       ++stats_.speculativeIssued;
     }
   }

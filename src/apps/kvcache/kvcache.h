@@ -90,7 +90,6 @@ inline std::uint64_t hashPrefix(const std::vector<std::uint32_t>& prompt,
 struct KvConfig {
   std::uint32_t numLayers = 4;
   std::uint32_t tokenKvWords = 128;  // uint64 words per token per layer (1 KiB)
-  std::uint32_t dev = 0;
   std::uint32_t maxBatch = 8;        // concurrently decoding sequences
   std::uint32_t poolBlocks = 4096;   // flash blocks backing the paged KV
   // KV pages in flight per sequence on both read paths: the shared-chunk
@@ -258,10 +257,15 @@ class KvServer {
   };
 
   std::uint32_t ringPages() const { return std::max(cfg_.gatherDepth, 1u); }
-  std::uint64_t blockLba(std::uint32_t block) const { return block; }
+  // Block b is page b of one flat KV word array; the controller's stripe
+  // resolves it to a (device, LBA), exactly as the accessor resolves the
+  // words gathered from it.
   std::uint64_t headElem(std::uint32_t block, std::uint32_t slot) const {
-    return blockLba(block) * cfg_.wordsPerPage() +
+    return std::uint64_t{block} * cfg_.wordsPerPage() +
            std::uint64_t{slot} * cfg_.tokenKvWords;
+  }
+  core::ElemAddr blockPage(std::uint32_t block) const {
+    return core::elemAddr<std::uint64_t>(headElem(block, 0), ctrl_->stripe());
   }
 
   void admitPending();

@@ -12,7 +12,8 @@
 //   Method-1  prefetch(dev, lba, chain)           — fill the software cache
 //   Method-2  asyncRead / asyncWrite(dev, lba, buf, chain)  — async_issue
 //             with user-specified buffers; buf.wait() via waitBuf()
-//   Method-3  array<T>() — array-like synchronous view of the SSDs
+//   Method-3  arrayRead / arrayWrite / arrayReadOrFill(idx) — array view of
+//             the SSDs; each element resolves through cfg.stripe
 //
 // Template parameters select the software-cache replacement policy and the
 // Share Table policy at compile time (the paper's CRTP customization). All
@@ -79,9 +80,9 @@ struct CtrlConfig {
   // shard, i.e. the paper's fully-associative design).
   std::uint32_t cacheShards = 0;
   bool warpCoalescing = true;
-  // Element->device striping for the array / accessor surface. The default
-  // (devices = 1) is the paper's single-device layout; widening it deals
-  // stripe units round-robin across the host's SSDs (see StripeMap).
+  // Element->device striping of every array, accessor and app access. The
+  // default (devices = 1) is the paper's single-device layout; widening it
+  // deals stripe units round-robin across the host's SSDs (see StripeMap).
   StripeMap stripe;
 };
 
@@ -308,29 +309,18 @@ class AgileCtrl {
   }
 
   // ------------------------------------------------------- Method 3 ----
+  //
+  // The array view (the paper's agileArr[dev][idx]). The device is not the
+  // caller's: every element resolves to its (device, LBA, byte offset)
+  // through cfg.stripe (core::elemAddr), so an array spans the stripe
+  // group. T must not straddle SSD pages.
 
-  // Synchronous element read through the software cache (the paper's
-  // agileArr[dev][idx]). T must not straddle SSD pages.
-  template <class T>
-  gpu::GpuTask<T> arrayRead(gpu::KernelCtx& ctx, std::uint32_t dev,
-                            std::uint64_t elemIdx, AgileLockChain& chain) {
-    ElemAddr at = elemAddr<T>(elemIdx);
-    at.dev = dev;
-    return arrayReadAt<T>(ctx, at, chain);
-  }
-
-  // Striped synchronous read: the element's device and per-device LBA are
-  // resolved through cfg.stripe instead of being caller-pinned.
+  // Synchronous element read through the software cache.
   template <class T>
   gpu::GpuTask<T> arrayRead(gpu::KernelCtx& ctx, std::uint64_t elemIdx,
                             AgileLockChain& chain) {
-    return arrayReadAt<T>(ctx, elemAddr<T>(elemIdx, cfg_.stripe), chain);
-  }
-
-  template <class T>
-  gpu::GpuTask<T> arrayReadAt(gpu::KernelCtx& ctx, ElemAddr at,
-                              AgileLockChain& chain) {
     ++stats_.arrayReads;
+    const ElemAddr at = elemAddr<T>(elemIdx, cfg_.stripe);
     AGILE_CHECK_MSG(at.byteOff + sizeof(T) <= nvme::kLbaBytes,
                     "element straddles SSD pages");
     const std::uint32_t li =
@@ -352,20 +342,18 @@ class AgileCtrl {
   // the line index to its peers, so lanes must be converged.
   template <class T>
   gpu::GpuTask<std::optional<T>> arrayReadOrFill(gpu::KernelCtx& ctx,
-                                                 std::uint32_t dev,
                                                  std::uint64_t elemIdx,
                                                  AgileLockChain& chain) {
     ++stats_.prefetches;
-    ElemAddr at = elemAddr<T>(elemIdx);
-    at.dev = dev;
+    const ElemAddr at = elemAddr<T>(elemIdx, cfg_.stripe);
     AGILE_CHECK_MSG(at.byteOff + sizeof(T) <= nvme::kLbaBytes,
                     "element straddles SSD pages");
-    const std::uint64_t tag = makeTag(dev, at.lba);
+    const std::uint64_t tag = makeTag(at.dev, at.lba);
     std::uint32_t leader = ctx.laneId();
     if (cfg_.warpCoalescing) leader = co_await warpLeader(ctx, tag);
     std::uint32_t hitLine = Cache::npos;
     if (ctx.laneId() == leader) {
-      hitLine = co_await fillCacheLine(ctx, dev, at.lba, chain);
+      hitLine = co_await fillCacheLine(ctx, at.dev, at.lba, chain);
     } else {
       ++stats_.prefetchCoalesced;
     }
@@ -390,25 +378,9 @@ class AgileCtrl {
   // Synchronous element store (read-modify-write through the cache; the
   // line turns MODIFIED and is written back on eviction).
   template <class T>
-  gpu::GpuTask<void> arrayWrite(gpu::KernelCtx& ctx, std::uint32_t dev,
-                                std::uint64_t elemIdx, T value,
-                                AgileLockChain& chain) {
-    ElemAddr at = elemAddr<T>(elemIdx);
-    at.dev = dev;
-    return arrayWriteAt<T>(ctx, at, value, chain);
-  }
-
-  // Striped synchronous store through cfg.stripe.
-  template <class T>
   gpu::GpuTask<void> arrayWrite(gpu::KernelCtx& ctx, std::uint64_t elemIdx,
                                 T value, AgileLockChain& chain) {
-    return arrayWriteAt<T>(ctx, elemAddr<T>(elemIdx, cfg_.stripe), value,
-                           chain);
-  }
-
-  template <class T>
-  gpu::GpuTask<void> arrayWriteAt(gpu::KernelCtx& ctx, ElemAddr at, T value,
-                                  AgileLockChain& chain) {
+    const ElemAddr at = elemAddr<T>(elemIdx, cfg_.stripe);
     AGILE_CHECK(at.byteOff + sizeof(T) <= nvme::kLbaBytes);
     const std::uint64_t tag = makeTag(at.dev, at.lba);
     const std::uint32_t li = co_await demandLine(ctx, tag, chain);
@@ -505,7 +477,6 @@ class AgileCtrl {
         co_return t;
       }
       case ClaimResult::kExhausted:
-        ++stats_.prefetchDropped;  // cache too contended; demand fetch later
         ops_.finish(*ops_.get(t), IoStatus::kFailed, host_->engine());
         co_return t;
     }
@@ -567,13 +538,16 @@ class AgileCtrl {
             break;
           }
           ++stats_.prefetches;
-          const bool claimed = co_await claimForBatchFill(
-              ctx, e.dev, e.lba, chain, &cmds[nCmds], ops_.ref(t),
-              batch.tenant());
-          if (claimed) {
-            ++ops_.get(t)->pendingFills;
-            ++nCmds;
-          }
+          // A claimed line's fill joins the batched doorbell; a page that
+          // is present, in flight or dropped needs no command.
+          std::uint32_t line = 0;
+          const ClaimResult r = co_await claimLine(
+              ctx, makeTag(e.dev, e.lba), chain, kPrefetchClaimBudget, &line);
+          if (r != ClaimResult::kClaimed) break;
+          noteLineOwner(cache_.line(line), batch.tenant());
+          cmds[nCmds++] = fillCmd(e.dev, e.lba, cache_.line(line),
+                                  ops_.ref(t), batch.tenant());
+          ++ops_.get(t)->pendingFills;
           break;
         }
         default:
@@ -701,8 +675,7 @@ class AgileCtrl {
   // unaffected and still lands normally).
   void retire(const IoToken& t) { ops_.retire(t); }
 
-  // ----------------------------------------------------- internals ----
-
+ private:
   // Bounded claim-and-fill behind prefetch, prefetchDivergent and the
   // read-or-fill leader. Returns the line when the page is already READY or
   // MODIFIED, npos otherwise (fill issued, in flight, or dropped).
@@ -715,13 +688,11 @@ class AgileCtrl {
                                kPrefetchClaimBudget, &line)) {
       case ClaimResult::kHit:
         co_return line;
-      case ClaimResult::kBusy:
-        break;  // already in flight (second-level coalesce)
+      case ClaimResult::kBusy:       // already in flight (second level)
+      case ClaimResult::kExhausted:  // dropped; demand fetches it later
+        break;
       case ClaimResult::kClaimed:
         co_await issueFill(ctx, dev, lba, cache_.line(line), chain);
-        break;
-      case ClaimResult::kExhausted:
-        ++stats_.prefetchDropped;  // cache too contended; demand fetch later
         break;
     }
     co_return Cache::npos;
@@ -801,7 +772,6 @@ class AgileCtrl {
     }
   }
 
- private:
   struct PendingCmd {
     std::uint32_t dev = 0;
     nvme::Sqe cmd;
@@ -827,7 +797,8 @@ class AgileCtrl {
   // path (fillCacheLine, submitPrefetch, batch fills): handles dirty-victim
   // writebacks and all-BUSY stalls with awaits between attempts. Unlike
   // demandLine it returns on a BUSY line (the fill in flight serves the
-  // prefetch) and hands a stall admission it did not use on.
+  // prefetch) and hands a stall admission it did not use on. A spent budget
+  // drops the prefetch, counted here in prefetchDropped.
   AGILE_NODISCARD("kClaimed hands back a BUSY line the caller must settle")
   gpu::GpuTask<ClaimResult> claimLine(gpu::KernelCtx& ctx, std::uint64_t tag,
                                       AgileLockChain& chain,
@@ -869,6 +840,7 @@ class AgileCtrl {
     if (admitted) {
       cache_.stallWaiters(cache_.shardOfTag(tag)).notifyOne(host_->engine());
     }
+    ++stats_.prefetchDropped;  // cache too contended; demand fetches it later
     co_return ClaimResult::kExhausted;
   }
 
@@ -1044,34 +1016,6 @@ class AgileCtrl {
     outTxn->staging = staging;
     outTxn->stagingPool = &host_->staging();
     outTxn->barrier = &buf.own()->barrier();
-  }
-
-  // Batch-prefetch claim: like fillCacheLine, but the fill command is
-  // collected for the batched doorbell instead of issued immediately.
-  // Returns true when a line was claimed and *outCmd holds its fill.
-  AGILE_NODISCARD("true means a BUSY line was claimed for *outCmd")
-  gpu::GpuTask<bool> claimForBatchFill(gpu::KernelCtx& ctx, std::uint32_t dev,
-                                       std::uint64_t lba,
-                                       AgileLockChain& chain,
-                                       PendingCmd* outCmd, IoOpRef opRef,
-                                       qos::TenantId tenant) {
-    std::uint32_t lineIdx = 0;
-    switch (co_await claimLine(ctx, makeTag(dev, lba), chain,
-                               kPrefetchClaimBudget, &lineIdx)) {
-      case ClaimResult::kHit:
-      case ClaimResult::kBusy:
-        co_return false;  // present or in flight: coalesced
-      case ClaimResult::kClaimed: {
-        CacheLine& line = cache_.line(lineIdx);
-        noteLineOwner(line, tenant);
-        *outCmd = fillCmd(dev, lba, line, opRef, tenant);
-        co_return true;
-      }
-      case ClaimResult::kExhausted:
-        ++stats_.prefetchDropped;
-        co_return false;
-    }
-    co_return false;  // unreachable
   }
 
   // True when an earlier batch entry already prefetches the same page.

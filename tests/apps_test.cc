@@ -126,7 +126,7 @@ TEST_F(AppsGpuFixture, BfsMatchesReferenceAgile) {
   auto g = uniformRandomGraph(600, 6, 11);
   buildAgile();
   writeArrayToSsd(host->ssd(0), 0, g.col);
-  AgileAccessor<std::uint32_t> acc{*ctrl, 0};
+  AgileAccessor<std::uint32_t> acc{*ctrl};
   std::vector<std::uint32_t> dist;
   ASSERT_TRUE(runBfs(*host, g, acc, 3, &dist));
   EXPECT_EQ(dist, bfsReference(g, 3));
@@ -147,15 +147,14 @@ TEST_F(AppsGpuFixture, SpmvMatchesReferenceAgile) {
   buildAgile();
   const std::uint64_t colPages = writeArrayToSsd(host->ssd(0), 0, g.col);
   writeArrayToSsd(host->ssd(0), colPages, g.weights);
-  AgileAccessor<std::uint32_t> colAcc{*ctrl, 0};
+  AgileAccessor<std::uint32_t> colAcc{*ctrl};
   // Weights live after the col pages; index shift via element offset.
   struct ShiftedValAcc {
     core::DefaultCtrl* ctrl;
     std::uint64_t baseElems;
     gpu::GpuTask<float> read(gpu::KernelCtx& ctx, std::uint64_t idx,
                              core::AgileLockChain& chain) {
-      co_return co_await ctrl->arrayRead<float>(ctx, 0, baseElems + idx,
-                                                chain);
+      co_return co_await ctrl->arrayRead<float>(ctx, baseElems + idx, chain);
     }
   } valAcc{ctrl.get(), colPages * nvme::kLbaBytes / sizeof(float)};
 
@@ -180,7 +179,7 @@ TEST_F(AppsGpuFixture, VectorMeanOverSsd) {
     data[i] = static_cast<float>(i % 17);
   }
   writeArrayToSsd(host->ssd(0), 0, data);
-  AgileAccessor<float> acc{*ctrl, 0};
+  AgileAccessor<float> acc{*ctrl};
   std::vector<double> partials(256, 0.0);
   ASSERT_TRUE(host->runKernel(
       {.gridDim = 2, .blockDim = 128, .name = "vecmean"},
@@ -197,7 +196,7 @@ TEST_F(AppsGpuFixture, BfsPipelinedMatchesReference) {
   auto g = kroneckerGraph(9, 6, 21);
   buildAgile(/*cacheLines=*/128);  // smaller than the graph: real misses
   writeArrayToSsd(host->ssd(0), 0, g.col);
-  AgileAccessor<std::uint32_t> acc{*ctrl, 0};
+  AgileAccessor<std::uint32_t> acc{*ctrl};
   std::vector<std::uint32_t> dist;
   ASSERT_TRUE(runBfs(*host, g, acc, 0, &dist,
                      {.gridDim = 16, .blockDim = 128},
@@ -211,14 +210,13 @@ TEST_F(AppsGpuFixture, SpmvPipelinedMatchesReference) {
   buildAgile(/*cacheLines=*/128);
   const std::uint64_t colPages = writeArrayToSsd(host->ssd(0), 0, g.col);
   writeArrayToSsd(host->ssd(0), colPages, g.weights);
-  AgileAccessor<std::uint32_t> colAcc{*ctrl, 0};
+  AgileAccessor<std::uint32_t> colAcc{*ctrl};
   struct ShiftedValAcc {
     core::DefaultCtrl* ctrl;
     std::uint64_t baseElems;
     gpu::GpuTask<float> read(gpu::KernelCtx& ctx, std::uint64_t idx,
                              core::AgileLockChain& chain) {
-      co_return co_await ctrl->arrayRead<float>(ctx, 0, baseElems + idx,
-                                                chain);
+      co_return co_await ctrl->arrayRead<float>(ctx, baseElems + idx, chain);
     }
     gpu::GpuTask<void> prefetchElemDivergent(gpu::KernelCtx& ctx,
                                              std::uint64_t idx,
@@ -250,7 +248,7 @@ TEST_F(AppsGpuFixture, VectorMeanPipelinedMatchesSync) {
     data[i] = static_cast<float>(i % 23);
   }
   writeArrayToSsd(host->ssd(0), 0, data);
-  AgileAccessor<float> acc{*ctrl, 0};
+  AgileAccessor<float> acc{*ctrl};
   std::vector<double> partials(256, 0.0);
   ASSERT_TRUE(host->runKernel(
       {.gridDim = 2, .blockDim = 128, .name = "vecmean-pipe"},
@@ -265,7 +263,7 @@ TEST_F(AppsGpuFixture, VectorMeanPipelinedMatchesSync) {
 
 TEST_F(AppsGpuFixture, GatherPipelinedMatchesPattern) {
   buildAgile(/*cacheLines=*/32);
-  AgileAccessor<std::uint64_t> acc{*ctrl, 0};
+  AgileAccessor<std::uint64_t> acc{*ctrl};
   // Deterministic scattered indices across 256 pages.
   std::vector<std::uint64_t> idxs(96);
   for (std::size_t i = 0; i < idxs.size(); ++i) {
@@ -293,7 +291,7 @@ TEST_F(AppsGpuFixture, GatherPipelinedMatchesPattern) {
 // correct — the throttle is purely a performance valve.
 TEST_F(AppsGpuFixture, GatherAdaptiveDepthThrashCorrectness) {
   buildAgile(/*cacheLines=*/8);  // 16 lanes x (depth+1) far exceeds 8 lines
-  AgileAccessor<std::uint64_t> acc{*ctrl, 0};
+  AgileAccessor<std::uint64_t> acc{*ctrl};
   std::vector<std::uint64_t> idxs(16 * 24);
   for (std::size_t i = 0; i < idxs.size(); ++i) {
     idxs[i] = (i * 131 + 7) % (512 * 512);
@@ -395,8 +393,13 @@ TEST(DlrmTraceTest, SkewProducesReuse) {
 }
 
 struct DlrmPipelineFixture : ::testing::Test {
-  // AGILE modes: the controller's stats at the end of the last run.
+  // Host SSD count and the AGILE controller's stripe over them.
+  std::uint32_t ssds = 1;
+  core::StripeMap stripe;
+  // AGILE modes: the controller's stats at the end of the last run, and
+  // the reads each SSD completed over it.
   core::CtrlStats ctrlStats;
+  std::vector<std::uint64_t> readsPerSsd;
 
   // Small-but-real end-to-end pipeline for each mode.
   DlrmRunResult run(DlrmMode mode, std::uint32_t gatherDepth = 0,
@@ -411,7 +414,7 @@ struct DlrmPipelineFixture : ::testing::Test {
     cfg.zipfTheta = zipfTheta;
     nvme::SsdConfig ssd;
     ssd.capacityLbas = cfg.embeddingPages() + 16;
-    host.addNvmeDev(ssd);
+    for (std::uint32_t d = 0; d < ssds; ++d) host.addNvmeDev(ssd);
     host.initNvme();
     DlrmTrace trace(cfg, 13);
     if (mode == DlrmMode::kBam) {
@@ -419,12 +422,17 @@ struct DlrmPipelineFixture : ::testing::Test {
       return runDlrm<core::DefaultCtrl>(host, cfg, trace, mode, nullptr,
                                         &bamCtrl, batch, /*epochs=*/4);
     }
-    core::DefaultCtrl ctrl(host, core::CtrlConfig{.cacheLines = cacheLines});
+    core::DefaultCtrl ctrl(
+        host, core::CtrlConfig{.cacheLines = cacheLines, .stripe = stripe});
     host.startAgile();
     auto res = runDlrm(host, cfg, trace, mode, &ctrl, nullptr, batch, 4,
                        warmupEpochs, gatherDepth);
     host.stopAgile();
     ctrlStats = ctrl.stats();
+    readsPerSsd.clear();
+    for (std::uint32_t d = 0; d < ssds; ++d) {
+      readsPerSsd.push_back(host.ssd(d).readsCompleted());
+    }
     return res;
   }
 };
@@ -479,6 +487,25 @@ TEST_F(DlrmPipelineFixture, AgileAsyncReadsOnlyPendingSlots) {
   EXPECT_LT(r.pendingSlots, lookups / 2);
   EXPECT_EQ(ctrlStats.prefetches, lookups);
   EXPECT_EQ(r.wrongWords, 0u);
+}
+
+TEST_F(DlrmPipelineFixture, AgileModesSpreadOverTheStripe) {
+  // The embedding tables follow the controller's stripe: every prefetch,
+  // read and read-or-fill of a lookup, and the host-side word check, resolve
+  // through the same map, so on a 2-SSD stripe the words are right and both
+  // SSDs serve reads.
+  ssds = 2;
+  stripe = {2, 1, 0};
+  for (DlrmMode mode : {DlrmMode::kAgileSync, DlrmMode::kAgileAsync}) {
+    const auto r = run(mode, /*gatherDepth=*/4);
+    const char* name = mode == DlrmMode::kAgileSync ? "sync" : "async";
+    EXPECT_EQ(r.ioAborted, 0u) << name;
+    EXPECT_EQ(r.wrongWords, 0u) << name;
+    EXPECT_GT(r.ssdReads, 0u) << name;
+    ASSERT_EQ(readsPerSsd.size(), 2u);
+    EXPECT_GT(readsPerSsd[0], 0u) << name;
+    EXPECT_GT(readsPerSsd[1], 0u) << name;
+  }
 }
 
 TEST_F(DlrmPipelineFixture, AgileSyncPipelinedGatherWinsWhenMissBound) {

@@ -17,6 +17,7 @@ namespace {
 struct CtrlFixture : ::testing::Test {
   std::unique_ptr<AgileHost> host;
   std::unique_ptr<DefaultCtrl> ctrl;
+  StripeMap stripe;  // the array view's layout; set before build()
 
   void build(std::uint32_t cacheLines = 64, std::uint32_t qps = 2,
              std::uint32_t depth = 64, std::uint32_t ssds = 1,
@@ -37,7 +38,7 @@ struct CtrlFixture : ::testing::Test {
     }
     host->initNvme();
     ctrl = std::make_unique<DefaultCtrl>(
-        *host, CtrlConfig{.cacheLines = cacheLines});
+        *host, CtrlConfig{.cacheLines = cacheLines, .stripe = stripe});
     host->startAgile();
   }
 
@@ -57,7 +58,7 @@ TEST_F(CtrlFixture, ArrayReadReturnsFlashContent) {
       {.gridDim = 1, .blockDim = 1, .name = "read"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 5, chain);
+        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 5, chain);
       }));
   EXPECT_EQ(got, expectWord(0, 5));  // element 5 lives in page 0, word 5
 }
@@ -72,7 +73,7 @@ TEST_F(CtrlFixture, ArrayReadCrossesPages) {
         for (int i = 0; i < 4; ++i) {
           // One element per page: element i*512 is word 0 of page i.
           got[i] = co_await ctrl->arrayRead<std::uint64_t>(
-              ctx, 0, static_cast<std::uint64_t>(i) * 512, chain);
+              ctx, static_cast<std::uint64_t>(i) * 512, chain);
         }
       }));
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(got[i], expectWord(i, 0));
@@ -84,8 +85,8 @@ TEST_F(CtrlFixture, SecondReadHitsCache) {
       {.gridDim = 1, .blockDim = 1, .name = "hit"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 3, chain);
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 4, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 3, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 4, chain);
       }));
   // The first read re-probes (hit) after its fill lands; the second hits
   // directly — and only one page fill reached the SSD.
@@ -116,7 +117,7 @@ TEST_F(CtrlFixture, PrefetchThenReadIsHit) {
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
         co_await ctrl->prefetch(ctx, 0, 9, chain);
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 9 * 512, chain);
+        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 9 * 512, chain);
       }));
   EXPECT_EQ(got, expectWord(9, 0));
   // Exactly one fill: the array read coalesced onto the prefetch.
@@ -130,8 +131,8 @@ TEST_F(CtrlFixture, ArrayWriteReadBack) {
       {.gridDim = 1, .blockDim = 1, .name = "rw"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        co_await ctrl->arrayWrite<std::uint64_t>(ctx, 0, 7, 0xabcdef, chain);
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 7, chain);
+        co_await ctrl->arrayWrite<std::uint64_t>(ctx, 7, 0xabcdef, chain);
+        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 7, chain);
       }));
   EXPECT_EQ(got, 0xabcdefu);
 }
@@ -143,11 +144,11 @@ TEST_F(CtrlFixture, DirtyEvictionPersistsToFlash) {
       {.gridDim = 1, .blockDim = 1, .name = "dirty"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        co_await ctrl->arrayWrite<std::uint64_t>(ctx, 0, 7, 0x1111, chain);
+        co_await ctrl->arrayWrite<std::uint64_t>(ctx, 7, 0x1111, chain);
         // Touch another page: evicts page 0 (writeback).
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 512, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 512, chain);
         // Read page 0 again: must come back from flash with our value.
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 7, chain);
+        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 7, chain);
       }));
   EXPECT_EQ(got, 0x1111u);
   EXPECT_GE(host->ssd(0).writesCompleted(), 1u);
@@ -205,7 +206,7 @@ TEST_F(CtrlFixture, AsyncReadHitCopiesFromCache) {
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
         // Pull page 3 into the cache, then asyncRead it: no new SSD I/O.
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 3 * 512, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 3 * 512, chain);
         AgileBuf buf(mem);
         AgileBufPtr ptr(buf);
         co_await ctrl->asyncRead(ctx, 0, 3, ptr, chain);
@@ -333,7 +334,7 @@ TEST_F(CtrlFixture, ModifiedShareePropagatesOnRelease) {
           // Last release propagated to the software cache: a fresh array
           // read must observe the new value without an SSD fetch.
           reread = co_await ctrl->arrayRead<std::uint64_t>(
-              ctx, 0, 40 * 512, chain);
+              ctx, 40 * 512, chain);
         }
       }));
   EXPECT_EQ(reread, 0xfeedu);
@@ -368,11 +369,11 @@ TEST_F(CtrlFixture, ModifiedShareePropagatesIntoReadyLine) {
           co_await ctrl->releaseBuf(ctx, ptr, chain);
         } else {
           // Fill the page into the cache beside the shared buffer.
-          filled = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 40 * 512,
+          filled = co_await ctrl->arrayRead<std::uint64_t>(ctx, 40 * 512,
                                                            chain);
           co_await ctrl->releaseOwned(ctx, 0, 40, ptr, chain);
           reread = co_await ctrl->arrayRead<std::uint64_t>(
-              ctx, 0, 40 * 512, chain);
+              ctx, 40 * 512, chain);
         }
       }));
   EXPECT_EQ(filled, expectWord(40, 0));
@@ -605,8 +606,7 @@ TEST_F(CtrlFixture, WriteInvalidatesHeldShareEntrySafely) {
       {.gridDim = 1, .blockDim = 1, .name = "reread"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        reread = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 40 * 512,
-                                                         chain);
+        reread = co_await ctrl->arrayRead<std::uint64_t>(ctx, 40 * 512, chain);
       }));
   EXPECT_EQ(reread, 0xbeefu);
 }
@@ -620,15 +620,14 @@ TEST_F(CtrlFixture, AsyncWritePersistsAndKeepsCacheCoherent) {
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
         // Warm the cache with page 50's flash content.
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 50 * 512, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 50 * 512, chain);
         // Write new content through asyncWrite.
         AgileBuf buf(mem);
         AgileBufPtr ptr(buf);
         ptr.as<std::uint64_t>()[0] = 0xbeef;
         co_await ctrl->asyncWrite(ctx, 0, 50, ptr, chain);
         // Cache must reflect the write immediately (coherency, §3.4).
-        cached = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 50 * 512,
-                                                         chain);
+        cached = co_await ctrl->arrayRead<std::uint64_t>(ctx, 50 * 512, chain);
         co_await ctrl->waitBuf(ctx, ptr);  // write durable
       }));
   // Verify flash content directly.
@@ -675,8 +674,7 @@ TEST_F(CtrlFixture, AsyncWriteWaitsOutInFlightFill) {
         co_await ctrl->asyncWrite(ctx, 0, 13, ptr, chain);
         co_await ctrl->waitBuf(ctx, ptr);
         // The cached copy must hold the new data, not the older fill's.
-        cached = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 13 * 512,
-                                                         chain);
+        cached = co_await ctrl->arrayRead<std::uint64_t>(ctx, 13 * 512, chain);
       }));
   EXPECT_EQ(cached, 0xd00du);
   std::byte page[nvme::kLbaBytes];
@@ -701,10 +699,8 @@ TEST_F(CtrlFixture, AsyncWriteWaitsOutInFlightWriteback) {
         if (ctx.threadIdx() == 0) {
           // Dirty page 5, then touch page 6: the single line starts a
           // writeback of page 5 and refills with page 6.
-          co_await ctrl->arrayWrite<std::uint64_t>(ctx, 0, 5 * 512, 0x01d,
-                                                   chain);
-          (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 6 * 512,
-                                                        chain);
+          co_await ctrl->arrayWrite<std::uint64_t>(ctx, 5 * 512, 0x01d, chain);
+          (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 6 * 512, chain);
         } else {
           // Arrive while page 5's writeback is in flight (the fill takes
           // ~60 us, the writeback starts right after and takes ~20 us).
@@ -715,8 +711,7 @@ TEST_F(CtrlFixture, AsyncWriteWaitsOutInFlightWriteback) {
           co_await ctrl->asyncWrite(ctx, 0, 5, ptr, chain);
           co_await ctrl->waitBuf(ctx, ptr);
           // Fresh fill from flash must observe the *newer* write.
-          reread = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 5 * 512,
-                                                           chain);
+          reread = co_await ctrl->arrayRead<std::uint64_t>(ctx, 5 * 512, chain);
         }
       }));
   EXPECT_EQ(reread, 0x2e2u);
@@ -739,9 +734,9 @@ TEST_F(CtrlFixture, ArrayWriteWaitsOutBusyLineThenLands) {
         } else {
           co_await gpu::compute(ctx, 500);
           // Store into the page while its fill is still in flight.
-          co_await ctrl->arrayWrite<std::uint64_t>(ctx, 0, 44 * 512 + 2,
+          co_await ctrl->arrayWrite<std::uint64_t>(ctx, 44 * 512 + 2,
                                                    0xabc, chain);
-          got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 44 * 512 + 2,
+          got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 44 * 512 + 2,
                                                         chain);
         }
       }));
@@ -756,9 +751,9 @@ TEST_F(CtrlFixture, ReadOrFillHitReturnsWord) {
       {.gridDim = 1, .blockDim = 1, .name = "rof-hit"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 9 * 512, chain);
-        got = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 0,
-                                                            9 * 512 + 7, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 9 * 512, chain);
+        got = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 9 * 512 + 7,
+                                                            chain);
       }));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, expectWord(9, 7));
@@ -772,8 +767,8 @@ TEST_F(CtrlFixture, ReadOrFillMissIssuesOneFill) {
       {.gridDim = 1, .blockDim = 1, .name = "rof-miss"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        got = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 0,
-                                                            9 * 512 + 7, chain);
+        got = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 9 * 512 + 7,
+                                                            chain);
       }));
   EXPECT_FALSE(got.has_value());
   ASSERT_TRUE(host->drainIo());
@@ -790,11 +785,11 @@ TEST_F(CtrlFixture, ReadOrFillBusyLineIssuesNoSecondRead) {
       {.gridDim = 1, .blockDim = 1, .name = "rof-busy"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        first = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 0, 9 * 512,
+        first = co_await ctrl->arrayReadOrFill<std::uint64_t>(ctx, 9 * 512,
                                                               chain);
         // The fill is still in flight: the line is BUSY.
         second = co_await ctrl->arrayReadOrFill<std::uint64_t>(
-            ctx, 0, 9 * 512 + 1, chain);
+            ctx, 9 * 512 + 1, chain);
       }));
   EXPECT_FALSE(first.has_value());
   EXPECT_FALSE(second.has_value());
@@ -810,7 +805,7 @@ TEST_F(CtrlFixture, ReadOrFillCoalescesOnePageToOneProbe) {
       {.gridDim = 1, .blockDim = 1, .name = "rof-warm"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 4 * 512, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 4 * 512, chain);
       }));
   ctrl->resetStats();
   std::vector<std::optional<std::uint64_t>> got(32);
@@ -819,7 +814,7 @@ TEST_F(CtrlFixture, ReadOrFillCoalescesOnePageToOneProbe) {
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
         got[ctx.laneId()] = co_await ctrl->arrayReadOrFill<std::uint64_t>(
-            ctx, 0, 4 * 512 + ctx.laneId(), chain);
+            ctx, 4 * 512 + ctx.laneId(), chain);
       }));
   for (std::uint32_t i = 0; i < 32; ++i) {
     ASSERT_TRUE(got[i].has_value()) << "lane " << i;
@@ -846,7 +841,7 @@ TEST_F(CtrlFixture, ReadOrFillLineEvictedBeforePeerReadReturnsNothing) {
       {.gridDim = 1, .blockDim = 1, .name = "rof-setup"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 1 * 512, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 1 * 512, chain);
         const IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 2, chain,
                                                         /*delay=*/1_ms);
         ctrl->retire(t);
@@ -859,7 +854,7 @@ TEST_F(CtrlFixture, ReadOrFillLineEvictedBeforePeerReadReturnsNothing) {
         const std::uint32_t lane = ctx.laneId();
         const std::uint64_t page = lane < 2 ? 1 : lane + 1;
         got[lane] = co_await ctrl->arrayReadOrFill<std::uint64_t>(
-            ctx, 0, page * 512 + lane, chain);
+            ctx, page * 512 + lane, chain);
       }));
   for (std::uint32_t lane = 0; lane < 4; ++lane) {
     EXPECT_FALSE(got[lane].has_value()) << "lane " << lane;
@@ -908,7 +903,7 @@ TEST_F(CtrlFixture, ElemAddrMatchesArrayMapping) {
         const std::uint64_t idx = 9 * 512 + 317;  // word 317 of page 9
         const ElemAddr at = elemAddr<std::uint64_t>(idx);
         co_await ctrl->prefetch(ctx, 0, at.lba, chain);
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, idx, chain);
+        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, idx, chain);
       }));
   EXPECT_EQ(got, nvme::FlashStore::patternWord(9, 317));
   EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);  // read coalesced on prefetch
@@ -924,7 +919,7 @@ TEST_F(CtrlFixture, SnapshotAndResetStats) {
       {.gridDim = 1, .blockDim = 1, .name = "snap"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 3, chain);
+        (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 3, chain);
         co_await ctrl->prefetch(ctx, 0, 8, chain);
       }));
   ASSERT_TRUE(host->drainIo());
@@ -950,7 +945,7 @@ TEST_F(CtrlFixture, ManyThreadsManyPagesComplete) {
         std::uint64_t sum = 0;
         for (int i = 0; i < 4; ++i) {
           sum += co_await ctrl->arrayRead<std::uint64_t>(
-              ctx, 0, (tid * 7 + i * 131) % 4096, chain);
+              ctx, (tid * 7 + i * 131) % 4096, chain);
         }
         (void)sum;
         ++done;
@@ -960,16 +955,18 @@ TEST_F(CtrlFixture, ManyThreadsManyPagesComplete) {
 }
 
 TEST_F(CtrlFixture, MultiSsdInterleaving) {
+  stripe = {3, 1, 0};
   build(/*cacheLines=*/64, /*qps=*/2, /*depth=*/64, /*ssds=*/3);
   bool ok = true;
   ASSERT_TRUE(host->runKernel(
       {.gridDim = 1, .blockDim = 96, .name = "multidev"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
+        // Logical page 3 * page + dev lands on SSD dev at LBA page.
         const std::uint32_t dev = ctx.globalThreadIdx() % 3;
         const std::uint64_t page = ctx.globalThreadIdx() / 3 + 1;
         const auto v = co_await ctrl->arrayRead<std::uint64_t>(
-            ctx, dev, page * 512, chain);
+            ctx, (3 * page + dev) * 512, chain);
         ok &= v == nvme::FlashStore::patternWord(page, 0);
       }));
   EXPECT_TRUE(ok);

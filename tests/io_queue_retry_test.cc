@@ -157,7 +157,7 @@ TEST_F(RetryFixture, RetryRescuesTransientReadErrors) {
         const std::uint32_t tid = ctx.globalThreadIdx();
         // One distinct page per thread (512 u64 words per 4K page).
         got[tid] = co_await ctrl->arrayRead<std::uint64_t>(
-            ctx, 0, static_cast<std::uint64_t>(tid) * 512, chain);
+            ctx, static_cast<std::uint64_t>(tid) * 512, chain);
       }));
   ASSERT_TRUE(host->drainIo());
 
@@ -243,7 +243,7 @@ TEST_F(RetryFixture, CacheFillRetryKeepsLineBusy) {
       {.gridDim = 1, .blockDim = 1, .name = "busy-fill"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 42 * 512, chain);
+        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 42 * 512, chain);
       });
   ASSERT_TRUE(host->engine().runUntil(
       [&] { return host->ioHealth().retries >= 1; }));
@@ -480,7 +480,7 @@ TEST_F(RetryFixture, GcPauseStormStretchesLatencyWithoutLosses) {
           AgileLockChain chain;
           const std::uint32_t tid = ctx.globalThreadIdx();
           const std::uint64_t v = co_await ctrl->arrayRead<std::uint64_t>(
-              ctx, 0, static_cast<std::uint64_t>(tid) * 512, chain);
+              ctx, static_cast<std::uint64_t>(tid) * 512, chain);
           EXPECT_EQ(v, nvme::FlashStore::patternWord(tid, 0));
         }));
     EXPECT_TRUE(host->drainIo());

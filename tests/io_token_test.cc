@@ -98,7 +98,7 @@ TEST_F(TokenFixture, SubmitPrefetchImmediateThenHit) {
         AgileLockChain chain;
         IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 9, chain);
         ok = co_await ctrl->wait(ctx, t);
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 9 * 512, chain);
+        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 9 * 512, chain);
       }));
   EXPECT_TRUE(ok);
   EXPECT_EQ(got, nvme::FlashStore::patternWord(9, 0));
@@ -143,7 +143,7 @@ TEST_F(TokenFixture, SpeculativeUncancelledFillsTheCache) {
         IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 12, chain,
                                                   /*speculativeDelayNs=*/2000);
         ok = co_await ctrl->wait(ctx, t);
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 12 * 512, chain);
+        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 12 * 512, chain);
       }));
   EXPECT_TRUE(ok);
   EXPECT_EQ(got, nvme::FlashStore::patternWord(12, 0));
@@ -187,8 +187,7 @@ TEST_F(TokenFixture, CancelRefusedWhenDemandAttached) {
         } else {
           co_await gpu::compute(ctx, 1000);
           // Demand read of the same page: parks on the pending fill.
-          got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 77 * 512,
-                                                        chain);
+          got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 77 * 512, chain);
         }
       }));
   EXPECT_FALSE(cancelled);  // a reader was riding the fill
@@ -311,9 +310,9 @@ TEST_F(TokenFixture, BatchMixedSubmitsWithOneDoorbell) {
         EXPECT_TRUE(batch.addPrefetch(0, 103));  // duplicate: coalesced away
         IoToken t = co_await ctrl->submitBatch(ctx, batch, chain);
         ok = co_await ctrl->wait(ctx, t);
-        viaCacheA = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 103 * 512,
+        viaCacheA = co_await ctrl->arrayRead<std::uint64_t>(ctx, 103 * 512,
                                                             chain);
-        viaCacheB = co_await ctrl->arrayRead<std::uint64_t>(ctx, 0, 104 * 512,
+        viaCacheB = co_await ctrl->arrayRead<std::uint64_t>(ctx, 104 * 512,
                                                             chain);
       }));
   EXPECT_TRUE(ok);

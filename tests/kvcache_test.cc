@@ -22,6 +22,8 @@ struct KvFixture : ::testing::Test {
   std::unique_ptr<core::AgileHost> host;
   std::unique_ptr<core::DefaultCtrl> ctrl;
   std::uint32_t stagingPages = 128;
+  std::uint32_t ssds = 1;
+  core::StripeMap stripe;  // the controller's layout over the SSDs
 
   void build(std::uint32_t cacheLines, std::uint32_t capacityLbas = 8192,
              const nvme::FaultPlan* fault = nullptr) {
@@ -39,10 +41,10 @@ struct KvFixture : ::testing::Test {
     nvme::SsdConfig ssd;
     ssd.capacityLbas = capacityLbas;
     if (fault != nullptr) ssd.fault = *fault;
-    host->addNvmeDev(ssd);
+    for (std::uint32_t d = 0; d < ssds; ++d) host->addNvmeDev(ssd);
     host->initNvme();
     ctrl = std::make_unique<core::DefaultCtrl>(
-        *host, core::CtrlConfig{.cacheLines = cacheLines});
+        *host, core::CtrlConfig{.cacheLines = cacheLines, .stripe = stripe});
     host->startAgile();
   }
 
@@ -95,6 +97,55 @@ TEST_F(KvFixture, DecodeMatchesDramReference) {
   // Requests 0 and 1 share three full 4-token chunks of the 12-token prefix.
   EXPECT_GT(server.stats().prefixChunkHits, 0u);
   EXPECT_EQ(server.stats().requestsRetired, 3u);
+}
+
+// The KV block layout follows the controller's stripe: the batch writes,
+// the Share-Table reads and their release, the speculative prefetches and
+// the accessor's warm and gather all resolve a block through the same map.
+// On a 3-SSD stripe decode stays byte-exact, nothing leaks, and every SSD
+// serves reads.
+TEST_F(KvFixture, StripedLayoutSpreadsOverEverySsd) {
+  ssds = 3;
+  stripe = {3, 1, 0};
+  build(/*cacheLines=*/32);
+  KvConfig cfg;
+  cfg.maxBatch = 3;
+  cfg.poolBlocks = 1024;
+  cfg.recordAttnTrace = true;
+  KvServer server(*host, *ctrl, cfg);
+
+  Rng rng(31);
+  const auto prefix = makePrompt(rng, 16, cfg.vocab);
+  std::vector<KvRequest> reqs(3);
+  for (std::uint64_t id = 0; id < reqs.size(); ++id) {
+    reqs[id].id = id;
+    reqs[id].prompt = id < 2 ? prefix : makePrompt(rng, 14, cfg.vocab);
+    for (std::uint32_t i = 0; i < 3 * id; ++i) {
+      reqs[id].prompt.push_back(
+          1 + static_cast<std::uint32_t>(rng.nextBelow(cfg.vocab - 1)));
+    }
+    reqs[id].maxNewTokens = 16;
+    server.enqueue(reqs[id]);
+  }
+  ASSERT_TRUE(server.run());
+
+  ASSERT_EQ(server.retired().size(), reqs.size());
+  for (const KvRequestStats& st : server.retired()) {
+    const KvRefResult ref = referenceDecode(cfg, reqs[st.id]);
+    EXPECT_EQ(st.generated, ref.generated) << "request " << st.id;
+    EXPECT_EQ(st.attnTrace, ref.attnTrace) << "request " << st.id;
+  }
+  EXPECT_GT(server.stats().prefixChunkHits, 0u);
+
+  EXPECT_EQ(ctrl->cache().busyLinesSlow(), 0u);
+  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);
+  EXPECT_EQ(ctrl->shareTable().size(), 0u);
+  EXPECT_EQ(host->staging().available(), stagingPages);
+  EXPECT_EQ(host->pendingTransactions(), 0u);
+  EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
+  for (std::uint32_t d = 0; d < ssds; ++d) {
+    EXPECT_GT(host->ssd(d).readsCompleted(), 0u) << "ssd " << d;
+  }
 }
 
 // Two identical prompts: the second request must attach to every prompt

@@ -80,11 +80,11 @@ TEST_P(MixedWorkloadTest, ReadWriteIntegrityAndResourceNeutrality) {
               static_cast<std::uint64_t>(shadowIdx) * 512 + (shadowIdx % 512);
           if (rng.nextBool(0.45)) {
             const std::uint64_t v = rng.next();
-            co_await ctrl.arrayWrite<std::uint64_t>(ctx, 0, elem, v, chain);
+            co_await ctrl.arrayWrite<std::uint64_t>(ctx, elem, v, chain);
             shadow[shadowIdx] = v;
           } else {
             const auto got =
-                co_await ctrl.arrayRead<std::uint64_t>(ctx, 0, elem, chain);
+                co_await ctrl.arrayRead<std::uint64_t>(ctx, elem, chain);
             if (shadow[shadowIdx] != ~0ull && got != shadow[shadowIdx]) {
               ++mismatches;
             }
@@ -141,18 +141,18 @@ TEST_P(WriteDurabilityTest, SurvivesFullEviction) {
         AgileLockChain chain;
         const std::uint32_t t = ctx.threadIdx();
         const std::uint64_t elem = static_cast<std::uint64_t>(t) * 512;
-        co_await ctrl.arrayWrite<std::uint64_t>(ctx, 0, elem, 0xC0FFEE00 + t,
+        co_await ctrl.arrayWrite<std::uint64_t>(ctx, elem, 0xC0FFEE00 + t,
                                                 chain);
         co_await ctx.syncBlock();
         // Stream far-away pages to evict every dirty line.
         for (std::uint32_t k = 0; k < 4; ++k) {
           const std::uint64_t farElem =
               (4096ull + t * 4 + k * 256) * 512;
-          (void)co_await ctrl.arrayRead<std::uint64_t>(ctx, 0, farElem, chain);
+          (void)co_await ctrl.arrayRead<std::uint64_t>(ctx, farElem, chain);
         }
         co_await ctx.syncBlock();
         const auto back =
-            co_await ctrl.arrayRead<std::uint64_t>(ctx, 0, elem, chain);
+            co_await ctrl.arrayRead<std::uint64_t>(ctx, elem, chain);
         if (back != 0xC0FFEE00 + t) ++bad;
       });
   ASSERT_TRUE(ok);
@@ -356,9 +356,8 @@ TEST(LivenessTest, TinyQueuesManyThreads) {
         AgileLockChain chain;
         const std::uint32_t tid = ctx.globalThreadIdx();
         const std::uint64_t elem = static_cast<std::uint64_t>(tid) * 512;
-        co_await ctrl.arrayWrite<std::uint64_t>(ctx, 0, elem, tid, chain);
-        const auto v = co_await ctrl.arrayRead<std::uint64_t>(ctx, 0, elem,
-                                                              chain);
+        co_await ctrl.arrayWrite<std::uint64_t>(ctx, elem, tid, chain);
+        const auto v = co_await ctrl.arrayRead<std::uint64_t>(ctx, elem, chain);
         EXPECT_EQ(v, tid);
         ++done;
       });
@@ -415,7 +414,7 @@ TEST(DeterminismTest, SameSeedSameVirtualTime) {
           Rng rng(42 + ctx.globalThreadIdx());
           for (int i = 0; i < 6; ++i) {
             (void)co_await ctrl.arrayRead<std::uint64_t>(
-                ctx, 0, rng.nextBelow(2048) * 512, chain);
+                ctx, rng.nextBelow(2048) * 512, chain);
           }
         });
     EXPECT_TRUE(ok);
