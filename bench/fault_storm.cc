@@ -1,12 +1,13 @@
 // fault_storm: goodput retention under injected device faults.
 //
 // Sweeps the transient-fault rate (retryable media errors plus a smaller
-// share of swallowed completions) crossed with the bounded retry tier off /
-// on, over a mixed read/write workload. Reports per-op p50/p99 latency,
+// share of swallowed completions) crossed with a retry budget of 0 (off)
+// or 8 (on), over a mixed read/write workload. Reports per-op p50/p99 latency,
 // completion rate, abort rate, and goodput; the headline is goodput
 // retention at a 1% fault rate with retries on, and the CI gate requires
 // 100% eventual completion at that point. The gated point runs twice to
-// confirm determinism (same seed, same plan => same virtual end time).
+// confirm determinism (same seed, same plan => same virtual end time), and
+// every row reports kernel_ok: a hang at any fault rate is a bug.
 //
 // Output: BENCH_fault.json (see bench/README.md for the schema).
 #include <cinttypes>
@@ -40,6 +41,7 @@ struct StormResult {
   std::uint64_t p50Ns = 0;
   std::uint64_t p99Ns = 0;
   double goodputOpsPerSec = 0.0;  // completed ops per virtual second
+  bool kernelOk = false;  // the kernel finished and drainIo drained
   core::IoHealthStats health;
 };
 
@@ -48,13 +50,13 @@ StormResult runStorm(const StormConfig& sc, bool quick) {
   cfg.queuePairsPerSsd = 4;
   cfg.queueDepth = 64;
   cfg.stagingPages = 512;
-  // Tight: with the retry tier off, a swallowed cache-fill completion
-  // poisons its line (BUSY forever) and wedges the kernel; the timeout
-  // converts that into "unfinished ops count as failed" instead of a
-  // 120-virtual-second grind. Fault-free runs finish in ~3 ms virtual.
+  // Tight: a hang is a bug, reported as kernel_ok false with unfinished
+  // ops counted as failed, and the timeout keeps it from becoming a
+  // 120-virtual-second grind. Every run finishes in a few ms virtual.
   cfg.kernelTimeout = 200_ms;
-  // The watchdog is the recovery trigger for swallowed completions; armed
-  // in both retry modes so "off" measures PR-5 first-expiry-errors behavior.
+  // The watchdog is the recovery trigger for swallowed completions, armed
+  // in both retry modes: "off" is the retry tier with a zero budget, so
+  // the first expiry aborts the command and settles it with an error.
   cfg.ioTimeoutNs = 2_ms;
   if (sc.retryOn) {
     cfg.retry.maxAttempts = 8;
@@ -135,10 +137,9 @@ StormResult runStorm(const StormConfig& sc, bool quick) {
   r.faultRate = sc.faultRate;
   r.retryOn = sc.retryOn;
   r.ops = static_cast<std::uint64_t>(threads) * opsPerThread;
-  // A hung kernel (watchdogless loss) counts every unfinished op as failed.
-  if (!kernelOk || !drained) {
-    failed = r.ops - completed;
-  }
+  // A hung kernel counts every unfinished op as failed.
+  r.kernelOk = kernelOk && drained;
+  if (!r.kernelOk) failed = r.ops - completed;
   r.completed = completed;
   r.failed = failed;
   r.virtualNs = host->engine().now();
@@ -167,10 +168,11 @@ int main(int argc, char** argv) {
       std::printf(
           "%-22s ops %5" PRIu64 "  done %5" PRIu64 "  aborted %4" PRIu64
           "  p99 %7.2f ms  goodput %9.0f op/s  retries %4" PRIu64
-          "  rescued %4" PRIu64 "\n",
+          "  rescued %4" PRIu64 "  kernel_ok %s\n",
           r.name.c_str(), r.ops, r.completed, r.failed,
           static_cast<double>(r.p99Ns) / 1e6, r.goodputOpsPerSec,
-          r.health.retries, r.health.rescued);
+          r.health.retries, r.health.rescued,
+          r.kernelOk ? "true" : "false");
       results.push_back(r);
     }
   }
@@ -208,12 +210,14 @@ int main(int argc, char** argv) {
         ", \"completion_rate\": %.4f, \"abort_rate\": %.4f, "
         "\"p50_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
         ", \"retries\": %" PRIu64 ", \"rescued\": %" PRIu64
-        ", \"quarantines\": %" PRIu64 ", \"new_events_per_sec\": %.0f}%s\n",
+        ", \"quarantines\": %" PRIu64
+        ", \"new_events_per_sec\": %.0f, \"kernel_ok\": %s}%s\n",
         r.name.c_str(), r.faultRate, r.retryOn ? "true" : "false", r.ops,
         r.completed, static_cast<double>(r.completed) / r.ops,
         static_cast<double>(r.failed) / r.ops, r.p50Ns, r.p99Ns,
         r.health.retries, r.health.rescued, r.health.quarantines,
-        r.goodputOpsPerSec, i + 1 < results.size() ? "," : "");
+        r.goodputOpsPerSec, r.kernelOk ? "true" : "false",
+        i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"determinism_match\": %s,\n",

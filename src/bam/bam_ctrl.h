@@ -181,22 +181,18 @@ class BamCtrl {
     const core::QpSlice all = qps.slice(dev);
     const std::uint32_t preferred = ctx.globalWarpIdx() % all.count;
 
-    // Allocate a slot; on full queues a BaM thread must drain completions
-    // itself (no service exists to do it), so it keeps its own loop instead
-    // of parking through acquireSlot/slotWaiters.
-    std::uint32_t slot = core::kNoSlot;
-    core::AgileSq* sq = nullptr;
+    // Claim a slot; on full queues a BaM thread must drain completions
+    // itself (no service exists to do it), so it keeps its own
+    // drain-then-backoff loop instead of parking through slotWaiters.
+    core::SlotGrant g;
     for (;;) {
-      for (std::uint32_t k = 0; k < all.count && slot == core::kNoSlot; ++k) {
-        sq = qps.sqs[all.first + (preferred + k) % all.count].get();
-        ctx.charge(cost::kBamSqeIssue);
-        slot = sq->tryAlloc();
-      }
-      if (slot != core::kNoSlot) break;
+      g = qps.acquireSlot(all, preferred, ctx.now());
+      ctx.charge(g.probes * cost::kBamSqeIssue);
+      if (g) break;
       drainCq(ctx, dev, chain);
       co_await ctx.backoff(cost::kBamPollInterval);
     }
-    core::writeAndRing(ctx, chain, *sq, &slot, &cmd, &txn, 1);
+    core::writeAndRing(ctx, chain, *g.sq, &g.slot, &cmd, &txn, 1);
     co_await pollUntil(ctx, dev, line, chain);
   }
 

@@ -15,7 +15,8 @@ gpu::GpuConfig withServiceSm(gpu::GpuConfig cfg) {
 
 AgileHost::AgileHost(HostConfig cfg)
     : cfg_(cfg),
-      gpu_(engine_, withServiceSm(cfg.gpu)) {}
+      gpu_(engine_, withServiceSm(cfg.gpu)),
+      retry_(engine_, qps_, cfg.retry) {}
 
 AgileHost::~AgileHost() {
   if (serviceRunning()) stopAgile();
@@ -42,9 +43,6 @@ void AgileHost::initNvme() {
   AGILE_CHECK_MSG(depth % window == 0,
                   "queue depth must be a multiple of the CQ poll window");
 
-  if (cfg_.retry.enabled()) {
-    retry_ = std::make_unique<RetryController>(engine_, qps_, cfg_.retry);
-  }
   if (cfg_.qos.active()) {
     qos_ = std::make_unique<qos::QosManager>(
         engine_, cfg_.qos, static_cast<std::uint32_t>(ssds_.size()));
@@ -67,7 +65,7 @@ void AgileHost::initNvme() {
       sq->engine = &engine_;
       sq->watchdog.assign(depth, sim::TimerId{});
       sq->cmdGen.assign(depth, 0);
-      sq->retry = retry_.get();
+      sq->retry = &retry_;
       sq->qos = qos_.get();
       sq->qpIndex = static_cast<std::uint32_t>(qps_.sqs.size());
       qps_.sqs.push_back(std::move(sq));
@@ -127,14 +125,11 @@ std::uint32_t AgileHost::pendingTransactions() const {
   for (const auto& sq : qps_.sqs) n += sq->inFlight();
   // Parked kTimedOut CIDs are not live transactions: their caller was
   // already settled with an error (or handed to a retry attempt, counted
-  // via pendingRetries below); the slot is sacrificed capacity awaiting a
-  // device answer that may never come. Counting them would wedge drainIo
-  // forever after a lost completion.
+  // via pendingRetries below); the slot only waits for the posted CQE.
   for (const auto& sq : qps_.sqs) {
     n -= sq->parked <= n ? sq->parked : n;
   }
-  if (retry_ != nullptr) n += retry_->pendingRetries();
-  return n;
+  return n + retry_.pendingRetries();
 }
 
 std::uint64_t AgileHost::ioTimeouts() const {
@@ -154,14 +149,12 @@ IoHealthStats AgileHost::ioHealth() const {
     }
     h.parkedSlots += sq->parked;
   }
-  if (retry_ != nullptr) {
-    h.retries = retry_->retries();
-    h.failovers = retry_->failovers();
-    h.rescued = retry_->rescued();
-    h.aborted = retry_->aborted();
-    h.cooldownProbes = retry_->cooldownProbes();
-    h.pendingRetries = retry_->pendingRetries();
-  }
+  h.retries = retry_.retries();
+  h.failovers = retry_.failovers();
+  h.rescued = retry_.rescued();
+  h.aborted = retry_.aborted();
+  h.cooldownProbes = retry_.cooldownProbes();
+  h.pendingRetries = retry_.pendingRetries();
   if (qos_ != nullptr) {
     h.admissionDefers = qos_->totalAdmissionDefers();
     h.admissionRejects = qos_->totalAdmissionRejects();

@@ -38,13 +38,14 @@ struct HostConfig {
   SimTime kernelTimeout = 30_s;
   // Per-command I/O timeout: every issued NVMe command arms a timer-wheel
   // watchdog that is cancelled (O(1)) by its completion; on expiry the
-  // transaction is errored with nvme::Status::kCommandAborted and the CID
-  // stays claimed until the device answers. 0 disables arming entirely
-  // (the default — figure reproductions schedule no extra timers).
+  // retry tier admin-aborts the command and re-issues or settles it (see
+  // `retry`). 0 disables arming entirely (the default — figure
+  // reproductions schedule no extra timers).
   SimTime ioTimeoutNs = 0;
-  // Bounded retry/backoff/failover tier on top of the watchdog; disabled by
-  // default (maxAttempts == 0). Watchdog-expiry retries additionally need
-  // ioTimeoutNs != 0 to trigger.
+  // Bounded retry/backoff/failover budget for watchdog expiries (which
+  // need ioTimeoutNs != 0) and retryable media errors. The default,
+  // maxAttempts == 0, is "retries off": the first failure settles the
+  // command with kCommandAborted.
   RetryPolicy retry;
   // Multi-tenant QoS (admission control, WFQ, per-tenant SLO telemetry);
   // inactive by default — no QosManager is built, every hook stays null,
@@ -121,10 +122,10 @@ class AgileHost {
 
   void closeNvme();
 
-  // Total in-flight AGILE transactions across all SQs. With the retry tier
-  // enabled this includes commands between attempts (backoff / parked on a
-  // full queue) and excludes parked kTimedOut CIDs whose transaction has
-  // already been handed to a retry.
+  // Total in-flight AGILE transactions across all SQs, including commands
+  // between retry attempts (backoff / parked on a full queue) and excluding
+  // parked kTimedOut CIDs, whose transaction was already settled or handed
+  // to a retry.
   std::uint32_t pendingTransactions() const;
 
   // Commands errored by the per-command I/O watchdog, across all SQs.
@@ -132,9 +133,6 @@ class AgileHost {
 
   // Aggregated robustness telemetry (retries, failovers, quarantined QPs).
   IoHealthStats ioHealth() const;
-
-  // Null unless HostConfig::retry.enabled().
-  RetryController* retryController() { return retry_.get(); }
 
   // Null unless HostConfig::qos.active(); built by initNvme().
   qos::QosManager* qosManager() { return qos_.get(); }
@@ -150,7 +148,7 @@ class AgileHost {
   gpu::Gpu gpu_;
   std::vector<std::unique_ptr<nvme::SsdController>> ssds_;
   QueuePairSet qps_;
-  std::unique_ptr<RetryController> retry_;
+  RetryController retry_;
   std::unique_ptr<qos::QosManager> qos_;
   std::unique_ptr<StagingPool> staging_;
   std::unique_ptr<AgileService> service_;

@@ -10,8 +10,7 @@ SlotGrant QueuePairSet::acquireSlot(QpSlice slice, std::uint32_t start,
     for (std::uint32_t k = 0; k < slice.count; ++k) {
       const std::uint32_t index = (start + k) % slice.count;
       AgileSq& sq = *sqs[slice.first + index];
-      // Health-aware selection; free when the retry tier is off, since
-      // nothing is ever quarantined then.
+      // Health-aware selection; free while nothing is quarantined.
       if (skipQuarantined && qpQuarantined(sq, now)) {
         ++quarantined;
         continue;
@@ -80,78 +79,10 @@ void AgileSq::onTimeout(std::uint32_t slot, std::uint64_t gen) {
   // Stale fire: the command completed (watchdog cancel raced the fire) or
   // the slot was already recycled for a newer command.
   if (state[slot] != SqeState::kIssued || cmdGen[slot] != gen) return;
-  Transaction& t = txn[slot];
-  if (t.kind == TxnKind::kNone || t.kind == TxnKind::kTimedOut) return;
+  const TxnKind kind = txn[slot].kind;
+  if (kind == TxnKind::kNone || kind == TxnKind::kTimedOut) return;
   watchdog[slot] = sim::TimerId{};
-  // Bounded retry tier: abort the original on the device and re-issue after
-  // backoff (possibly on another QP); once the attempt budget is spent the
-  // tier aborts-and-settles itself (a swallowed completion must not park
-  // the CID forever). The legacy path below only runs with the tier off.
-  if (retry != nullptr && retry->onWatchdogExpiry(*this, slot)) return;
-  // The SQE stays ISSUED in every case: its CID — and, crucially, any
-  // memory the device may still DMA — remain claimed until the device
-  // answers. The watchdog only errors what can be released without
-  // aliasing an in-flight transfer; `timeouts` counts exactly the
-  // commands where something was errored.
-  switch (t.kind) {
-    case TxnKind::kCacheWriteback:
-      // The device still reads line->data, so the frame must stay pinned
-      // (BUSY/evicting) exactly as it is; nothing can be errored early
-      // (and nothing is, so this expiry does not count as a timeout).
-      // The late completion settles the line normally.
-      return;
-    case TxnKind::kCacheFill: {
-      // Early-error the demand riding this fill — attached buffers and the
-      // token op — but leave the frame BUSY and its tag mapped: the device
-      // will still DMA into line->data, so the frame cannot be recycled
-      // until the late completion settles it with the real status. Parked
-      // sync readers therefore keep waiting on the device (bounded by its
-      // latency), exactly as without a watchdog. A fill with neither
-      // attached buffers nor a token has nothing to error: like a
-      // writeback expiry, it does not count as a timeout.
-      CacheLine& l = *t.line;
-      if (l.bufWaitHead == nullptr && t.op.pool == nullptr) return;
-      ++timeouts;
-      l.completeBufWaiters(*engine, nvme::Status::kCommandAborted);
-      if (t.op.pool != nullptr) {
-        t.op.pool->completeOp(t.op.slot, t.op.gen,
-                              nvme::Status::kCommandAborted, *engine);
-        t.op = IoOpRef{};  // the late completion must not notify again
-      }
-      return;
-    }
-    case TxnKind::kBufRead: {
-      ++timeouts;
-      // Error the caller's barrier now. The buffer is caller-owned and the
-      // device may still write it; a failed barrier already means "contents
-      // undefined", so no quarantine is needed inside the library.
-      const Transaction timedOut = t;
-      t = Transaction{};
-      t.kind = TxnKind::kTimedOut;
-      ++parked;
-      settleTransaction(*engine, timedOut, nvme::Status::kCommandAborted);
-      return;
-    }
-    case TxnKind::kBufWrite: {
-      ++timeouts;
-      // Error the caller's barrier now, but keep the staging page out of
-      // the pool until the device answers — it is the DMA source of the
-      // in-flight write, and recycling it early would let a later write's
-      // payload be persisted under this command's LBA.
-      Transaction timedOut = t;
-      t = Transaction{};
-      t.kind = TxnKind::kTimedOut;
-      t.staging = timedOut.staging;
-      t.stagingPool = timedOut.stagingPool;
-      ++parked;
-      timedOut.staging = nullptr;  // settle must not recycle it
-      settleTransaction(*engine, timedOut, nvme::Status::kCommandAborted);
-      return;
-    }
-    case TxnKind::kNone:
-    case TxnKind::kTimedOut:
-      return;  // unreachable (checked above)
-  }
+  retry->onWatchdogExpiry(*this, slot);
 }
 
 // --- bounded retry / backoff / failover tier ------------------------------
@@ -165,7 +96,7 @@ bool RetryController::onRetryableError(AgileSq& sq, std::uint32_t slot) {
   return true;
 }
 
-bool RetryController::onWatchdogExpiry(AgileSq& sq, std::uint32_t slot) {
+void RetryController::onWatchdogExpiry(AgileSq& sq, std::uint32_t slot) {
   // Consecutive-timeout health: quarantine the QP after K strikes in a row.
   ++sq.consecTimeouts;
   if (policy_.quarantineAfter > 0 &&
@@ -180,10 +111,9 @@ bool RetryController::onWatchdogExpiry(AgileSq& sq, std::uint32_t slot) {
   // Admin-abort the original in every case: after this call the device
   // guarantees the command performs no further DMA, so re-issuing into the
   // same cache frame / user buffer / staging page cannot alias an in-flight
-  // transfer. With the budget spent it matters too: unlike the tier-off
-  // path (which parks the CID and waits for the device's late answer), a
-  // command whose completion the fault injector swallowed would otherwise
-  // park the slot — and pin a write's staging page — forever.
+  // transfer, and settling releases them at once. Waiting for the device's
+  // answer instead would park a command whose completion was swallowed —
+  // its slot, fill line or staging page — forever.
   const auto r =
       sq.ssd->abortCommand(sq.qid, narrowCast<std::uint16_t>(slot));
   if (r == nvme::SsdController::AbortResult::kMissing) {
@@ -203,10 +133,9 @@ bool RetryController::onWatchdogExpiry(AgileSq& sq, std::uint32_t slot) {
     ++aborted_;
     ++sq.timeouts;
     settleTransaction(*engine_, p.txn, nvme::Status::kCommandAborted);
-    return true;
+    return;
   }
   scheduleBackoff(std::move(p));
-  return true;
 }
 
 void RetryController::scheduleBackoff(Pending p) {

@@ -40,9 +40,8 @@ enum class TxnKind : std::uint8_t {
   kCacheWriteback,  // write cache line -> SSD (dirty eviction)
   kBufRead,         // read SSD -> user buffer (asyncRead miss path)
   kBufWrite,        // write staging -> SSD (asyncWrite)
-  kTimedOut,        // watchdog already errored the transaction; the late
-                    // device completion reclaims the SQE slot (and, for
-                    // writes, the pinned staging page)
+  kTimedOut,        // watchdog aborted the command after its CQE was
+                    // posted; the late completion only reclaims the slot
 };
 
 class StagingPool;
@@ -70,9 +69,10 @@ struct Transaction {
 };
 
 // Bounded retry / backoff / failover policy layered on the per-command
-// watchdog (HostConfig::retry). Disabled by default: maxAttempts == 0 keeps
-// the PR-5 first-expiry-errors behavior and schedules nothing, so figure
-// reproductions are byte-identical.
+// watchdog (HostConfig::retry). "Retries off" is maxAttempts == 0 (the
+// default): the first watchdog expiry or retryable media error aborts and
+// settles the command with kCommandAborted, down the same path a retry
+// takes once its budget is spent.
 struct RetryPolicy {
   // Re-issues allowed per logical command after its first attempt.
   std::uint32_t maxAttempts = 0;
@@ -85,7 +85,6 @@ struct RetryPolicy {
   // the next command through is the re-probe (0 = never quarantine).
   std::uint32_t quarantineAfter = 4;
   SimTime quarantineCooldownNs = 5'000'000;  // 5 ms
-  bool enabled() const { return maxAttempts > 0; }
 };
 
 // Statuses worth re-issuing: transient media errors. Host-synthesized
@@ -118,16 +117,16 @@ struct AgileSq {
   // --- I/O watchdog (HostConfig::ioTimeoutNs; 0 = disabled) ---
   // Every command arms a timer-wheel TimerId when the SQ doorbell covers
   // it; the completion path cancels it (O(1)). If the timer fires first,
-  // the transaction is errored with Status::kCommandAborted and the slot is
-  // parked as kTimedOut until the device eventually answers (a CID stays
-  // claimed until completion, per NVMe semantics).
+  // RetryController::onWatchdogExpiry admin-aborts the command, then
+  // re-issues it after backoff or, with the budget spent, settles it with
+  // Status::kCommandAborted.
   SimTime ioTimeoutNs = 0;
   sim::Engine* engine = nullptr;   // armed/cancelled through the host engine
   std::vector<sim::TimerId> watchdog;
   std::vector<std::uint64_t> cmdGen;  // bumped per alloc; guards stale fires
   std::uint64_t timeouts = 0;         // commands errored by the watchdog
 
-  // --- bounded retry tier (HostConfig::retry; null when disabled) ---
+  // --- bounded retry tier (HostConfig::retry; set by initNvme) ---
   RetryController* retry = nullptr;
   // --- multi-tenant QoS (HostConfig::qos; null when inactive) ---
   // Owned by the AgileHost; completions report per-tenant latency/bytes and
@@ -180,7 +179,7 @@ struct AgileSq {
       watchdog[slot] = sim::TimerId{};
     }
   }
-  // Watchdog expiry: error the transaction, keep the CID claimed.
+  // Watchdog expiry: drop stale fires, hand the rest to the retry tier.
   void onTimeout(std::uint32_t slot, std::uint64_t gen);
 };
 
@@ -323,7 +322,8 @@ class StagingPool {
 
 // Bounded retry / backoff / failover tier. One instance per AgileHost,
 // shared by every SQ (a retry may fail over to a different queue pair of
-// the same SSD). Triggered from two places:
+// the same SSD), and the only code that acts on an expired command.
+// Triggered from two places:
 //   - applyCompletion, when a command completes with a retryable media
 //     error: the transaction is taken over and re-issued after backoff;
 //   - AgileSq::onTimeout, when the per-command watchdog expires: the
@@ -334,8 +334,9 @@ class StagingPool {
 // Cache fill frames stay BUSY and tag-mapped across re-issues, write
 // staging pages move to the retry attempt unrecycled, and token ops are
 // notified exactly once — by whichever attempt finally settles.
-// Only when the attempt budget is exhausted is the transaction errored
-// with nvme::Status::kCommandAborted.
+// Once the attempt budget is spent (at once, with retries off) the
+// transaction is settled with nvme::Status::kCommandAborted, which
+// releases its fill line or staging page like any other completion.
 class AGILE_CAPABILITY("retry-controller") RetryController {
  public:
   RetryController(sim::Engine& engine, QueuePairSet& qps, RetryPolicy policy)
@@ -350,11 +351,10 @@ class AGILE_CAPABILITY("retry-controller") RetryController {
   bool onRetryableError(AgileSq& sq, std::uint32_t slot);
 
   // Watchdog expiry on a live transaction (from AgileSq::onTimeout, after
-  // the stale-fire checks). Always handles the expiry when the tier is on:
-  // either the slot is taken over and a re-issue scheduled, or — budget
-  // exhausted — the original is admin-aborted and the transaction settled
+  // the stale-fire checks). The original is admin-aborted; then either a
+  // re-issue is scheduled or — budget spent — the transaction is settled
   // with kCommandAborted (never parked forever on a swallowed completion).
-  bool onWatchdogExpiry(AgileSq& sq, std::uint32_t slot);
+  void onWatchdogExpiry(AgileSq& sq, std::uint32_t slot);
 
   // Health bookkeeping on every successful completion (cheap).
   void onSuccess(AgileSq& sq, const Transaction& txn) {
@@ -410,7 +410,7 @@ inline bool qpQuarantined(AgileSq& sq, SimTime now) {
   if (sq.quarantinedUntil == 0) return false;
   if (now < sq.quarantinedUntil) return true;
   sq.quarantinedUntil = 0;
-  if (sq.retry != nullptr) sq.retry->noteCooldownProbe();
+  sq.retry->noteCooldownProbe();
   return false;
 }
 
@@ -496,8 +496,8 @@ inline void applyCompletion(sim::Engine& engine, AgileSq& sq,
   // backoff instead of settling the transaction; only once the budget is
   // exhausted is the transaction errored — with kCommandAborted, matching
   // the watchdog-exhaustion path.
-  if (sq.retry != nullptr && isRetryableStatus(status) &&
-      txn.kind != TxnKind::kTimedOut && txn.kind != TxnKind::kNone) {
+  if (isRetryableStatus(status) && txn.kind != TxnKind::kTimedOut &&
+      txn.kind != TxnKind::kNone) {
     if (sq.retry->onRetryableError(sq, slot)) {
       releaseSlot(engine, sq, slot);
       return;
@@ -505,19 +505,13 @@ inline void applyCompletion(sim::Engine& engine, AgileSq& sq,
     status = nvme::Status::kCommandAborted;
   }
 
-  // The watchdog already errored this transaction; the device's (late)
-  // answer reclaims the CID and any DMA memory the watchdog had to keep
-  // pinned (the staging page of a timed-out write).
+  // The watchdog already settled or re-issued this transaction; the
+  // device's (late) answer only reclaims the CID.
   if (txn.kind == TxnKind::kTimedOut) {
-    if (sq.parked > 0) --sq.parked;
-    if (txn.staging != nullptr) {
-      AGILE_CHECK(txn.stagingPool != nullptr);
-      txn.stagingPool->put(engine, txn.staging);
-    }
+    AGILE_CHECK(sq.parked > 0);
+    --sq.parked;
   } else {
-    if (sq.retry != nullptr && status == nvme::Status::kSuccess) {
-      sq.retry->onSuccess(sq, txn);
-    }
+    if (status == nvme::Status::kSuccess) sq.retry->onSuccess(sq, txn);
     settleTransaction(engine, txn, status);
     // Per-tenant SLO telemetry: successful settles record achieved bytes
     // and submit-to-settle latency (errored commands would skew the SLO

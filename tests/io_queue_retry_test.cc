@@ -174,6 +174,46 @@ TEST_F(RetryFixture, RetryRescuesTransientReadErrors) {
   EXPECT_EQ(ctrl->stats().exhaustedRetries, 0u);
 }
 
+// Retries off (maxAttempts == 0) is the retry tier with no budget, not a
+// second expiry path: a cache fill whose completion the device swallows is
+// admin-aborted at the watchdog deadline and its line released, so the
+// reader re-probes and refetches instead of parking on a BUSY line until
+// the kernel timeout.
+TEST_F(RetryFixture, SwallowedFillWithRetriesOffDoesNotWedge) {
+  BuildOpts o;
+  o.fault.enabled = true;
+  o.fault.seed = 5;
+  o.fault.dropRate = 0.2;
+  o.ioTimeoutNs = 200'000;
+  o.kernelTimeout = 50'000'000;  // 50 ms, ~50x the expected makespan
+  build(o);
+  ASSERT_EQ(host->config().retry.maxAttempts, 0u);
+
+  constexpr std::uint32_t kReads = 32;
+  std::vector<std::uint64_t> got(kReads, 0);
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = kReads, .name = "swallowed-fills"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        const std::uint32_t tid = ctx.globalThreadIdx();
+        got[tid] = co_await ctrl->arrayRead<std::uint64_t>(
+            ctx, static_cast<std::uint64_t>(tid) * 512, chain);
+      }));
+  ASSERT_TRUE(host->drainIo());
+
+  EXPECT_GT(host->ssd(0).droppedCompletions(), 0u);
+  EXPECT_EQ(ctrl->cache().busyLines(), 0u);
+  for (std::uint32_t i = 0; i < kReads; ++i) {
+    EXPECT_EQ(got[i], nvme::FlashStore::patternWord(i, 0)) << "lba " << i;
+  }
+  const IoHealthStats h = host->ioHealth();
+  EXPECT_EQ(h.retries, 0u);
+  EXPECT_EQ(h.aborted, host->ssd(0).droppedCompletions());
+  EXPECT_EQ(h.watchdogTimeouts, h.aborted);
+  EXPECT_EQ(h.parkedSlots, 0u);
+  EXPECT_EQ(host->pendingTransactions(), 0u);
+}
+
 // A watchdog expiry whose original completion is already posted (but not
 // yet consumed) gets AbortResult::kMissing: the CID parks as kTimedOut, the
 // retry re-issues after backoff, and the late original is reclaimed without

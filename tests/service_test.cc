@@ -83,15 +83,16 @@ TEST_F(ServiceFixture, WatchdogCancelledOnCompletion) {
   EXPECT_EQ(host->pendingTransactions(), 0u);
 }
 
-// A command that exceeds the timeout has its transaction errored by the
-// watchdog (the parked reader observes the failure) while the CID stays
-// claimed; the device's late completion then reclaims the slot without
-// settling the transaction twice.
+// A command that exceeds the timeout is admin-aborted by the watchdog
+// (retries are off by default: the attempt budget is 0). The caller errors
+// at the deadline, the device drops the command, and the slot is free at
+// once — nothing is parked awaiting a late answer.
 TEST_F(ServiceFixture, WatchdogErrorsSlowCommand) {
   // 5 ms device latency vs a 500 us timeout: every command times out first.
   build(1, 64, 2, /*ioTimeoutNs=*/500_us, /*readLatencyNs=*/5_ms);
   auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
   bool readOk = true;
+  SimTime erroredAt = 0;
   const bool ok = host->runKernel(
       {.gridDim = 1, .blockDim = 1, .name = "slow-read"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
@@ -107,27 +108,30 @@ TEST_F(ServiceFixture, WatchdogErrorsSlowCommand) {
         tmp.barrier().addPending();
         co_await laneIssueOn(ctx, host->queuePairs(), 0, cmd, txn, chain);
         readOk = co_await barrierWait(ctx, tmp.barrier());
+        erroredAt = ctx.now();
       });
   ASSERT_TRUE(ok);
   EXPECT_FALSE(readOk);  // errored by the watchdog, not the device
+  EXPECT_LT(erroredAt, 1_ms);
   EXPECT_EQ(host->ioTimeouts(), 1u);
-  // The CID is still claimed until the device answers, but the caller was
-  // already settled: the parked slot is sacrificed capacity, not pending
-  // work (drainIo must not wedge on it if the answer never comes).
-  EXPECT_EQ(host->ioHealth().parkedSlots, 1u);
+  EXPECT_EQ(host->ssd(0).abortsHonored(), 1u);  // kAborted: dead on device
+  const IoHealthStats h = host->ioHealth();
+  EXPECT_EQ(h.aborted, 1u);
+  EXPECT_EQ(h.retries, 0u);
+  EXPECT_EQ(h.parkedSlots, 0u);
+  EXPECT_EQ(host->queuePairs().sqs[0]->inFlight(), 0u);
   EXPECT_EQ(host->pendingTransactions(), 0u);
-  // Let the real (late) completion land: the slot is reclaimed, the
-  // transaction is not settled a second time.
+  // The aborted command never answers; nothing is settled a second time.
   host->engine().runFor(host->engine().now() + 20_ms);
+  EXPECT_EQ(host->service().stats().completions, 0u);
   EXPECT_EQ(host->ioHealth().parkedSlots, 0u);
-  EXPECT_EQ(host->pendingTransactions(), 0u);
   EXPECT_EQ(host->ioTimeouts(), 1u);
 }
 
-// A timed-out cache fill errors the token early, but the frame stays BUSY
-// (pinned: the device will still DMA into it) until the late completion
-// settles the line with the real status — no recycled memory is ever a DMA
-// target.
+// A timed-out cache fill is aborted on the device and settled with
+// kCommandAborted: the token errors at the deadline and the frame is
+// released at once (no DMA can reach it after the abort), so later
+// readers of the page re-probe instead of parking on a BUSY line.
 TEST_F(ServiceFixture, WatchdogErrorsCacheFill) {
   build(1, 64, 2, /*ioTimeoutNs=*/500_us, /*readLatencyNs=*/5_ms);
   DefaultCtrl ctrl(*host, CtrlConfig{.cacheLines = 8});
@@ -143,20 +147,15 @@ TEST_F(ServiceFixture, WatchdogErrorsCacheFill) {
   ASSERT_TRUE(ok);
   EXPECT_FALSE(waitOk);  // token errored at the deadline
   EXPECT_EQ(host->ioTimeouts(), 1u);
-  // The DMA target stays pinned until the device answers.
-  EXPECT_EQ(ctrl.cache().busyLines(), 1u);
-  host->engine().runFor(host->engine().now() + 20_ms);
-  EXPECT_EQ(host->pendingTransactions(), 0u);
   EXPECT_EQ(ctrl.cache().busyLines(), 0u);
-  // The late completion settled the fill with the device's real status:
-  // the page is cached and a demand read of it hits.
-  EXPECT_NE(ctrl.cache().findLine(makeTag(0, 3)), DefaultCtrl::Cache::npos);
+  EXPECT_EQ(host->ioHealth().parkedSlots, 0u);
+  EXPECT_EQ(host->pendingTransactions(), 0u);
 }
 
-// A timed-out asyncWrite errors the caller's barrier early but keeps the
-// staging page (the in-flight DMA source) out of the pool until the device
-// answers, so no later write can be corrupted by the stale transfer.
-TEST_F(ServiceFixture, WatchdogDefersStagingRecycleOnWriteTimeout) {
+// A timed-out asyncWrite is aborted on the device, so its staging page —
+// the DMA source — can never be read again and returns to the pool with
+// the caller's error, not on a device answer that may never come.
+TEST_F(ServiceFixture, WatchdogRecyclesStagingOnWriteTimeout) {
   build(1, 64, 2, /*ioTimeoutNs=*/500_us, /*readLatencyNs=*/5_ms);
   auto* payload = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
   const std::size_t stagingBefore = host->staging().available();
@@ -186,12 +185,8 @@ TEST_F(ServiceFixture, WatchdogDefersStagingRecycleOnWriteTimeout) {
   ASSERT_TRUE(ok);
   EXPECT_EQ(host->ioTimeouts(), 1u);
   EXPECT_TRUE(buf.barrier().failed());
-  // Deadline passed, but the staging page is still pinned by the in-flight
-  // DMA — not yet back in the pool.
-  EXPECT_EQ(host->staging().available(), stagingBefore - 1);
-  host->engine().runFor(host->engine().now() + 20_ms);
-  // The late completion recycled it.
   EXPECT_EQ(host->staging().available(), stagingBefore);
+  EXPECT_EQ(host->ioHealth().parkedSlots, 0u);
   EXPECT_EQ(host->pendingTransactions(), 0u);
 }
 

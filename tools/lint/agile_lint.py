@@ -605,9 +605,11 @@ def check_tenant_default(ctx: FileContext) -> Iterator[Finding]:
 # Every submission entry point that takes a device index: the lane-side
 # calls, whose dev argument follows ctx, and QueuePairSet::slice(dev, ...),
 # the one queue-pair routing call every SQ issue path goes through.
+# arrayRead/arrayWrite are absent: the argument after their ctx is the
+# element index, which elemAddr routes, so a literal there is no pinned device.
 _DEVICE_CALL_RE = re.compile(
     r"\b(prefetch|prefetchDivergent|asyncRead|asyncWrite|submitRead|"
-    r"submitWrite|submitPrefetch|arrayRead|arrayWrite|"
+    r"submitWrite|submitPrefetch|"
     r"readElem|writeElem|readPage|issueFill|issueToSsd|issueBatchToSsd|"
     r"slice)\s*(?:<[^;(){}]*>)?\s*(\()"
 )

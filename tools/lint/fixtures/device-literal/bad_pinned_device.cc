@@ -5,7 +5,6 @@ struct Ctx {};
 struct Chain {};
 struct Buf {};
 struct Ctrl {
-  int arrayRead(Ctx& ctx, unsigned dev, unsigned long idx, Chain& c);
   int submitRead(Ctx& ctx, unsigned dev, unsigned long lba, Buf& b, Chain& c);
   void prefetch(Ctx& ctx, unsigned dev, unsigned long lba, Chain& c);
 };
@@ -19,8 +18,7 @@ struct QueuePairs {
 
 int pinned(Ctrl& ctrl, Ctx& ctx, Chain& chain, Buf& buf) {
   ctrl.prefetch(ctx, 0, 17, chain);
-  int t = ctrl.submitRead(ctx, 2, 17, buf, chain);
-  return t + ctrl.arrayRead(ctx, 0, 99, chain);
+  return ctrl.submitRead(ctx, 2, 17, buf, chain);
 }
 
 unsigned pinnedQueuePairs(QueuePairs& qps) {

@@ -1,5 +1,7 @@
 // Fixture: element->device routing flows through the striped elemAddr
-// choke point; no literal device index reaches a submission call.
+// choke point; no literal device index reaches a submission call. The
+// element accessors take an index, not a device, so a literal index there
+// is fine.
 struct Ctx {};
 struct Chain {};
 struct Buf {};
@@ -10,7 +12,7 @@ struct ElemAddr {
 struct StripeMap {};
 ElemAddr elemAddr(unsigned long idx, const StripeMap& map);
 struct Ctrl {
-  int arrayRead(Ctx& ctx, unsigned dev, unsigned long idx, Chain& c);
+  int arrayRead(Ctx& ctx, unsigned long idx, Chain& c);
   int submitRead(Ctx& ctx, unsigned dev, unsigned long lba, Buf& b, Chain& c);
   void prefetch(Ctx& ctx, unsigned dev, unsigned long lba, Chain& c);
 };
@@ -27,7 +29,7 @@ int striped(Ctrl& ctrl, Ctx& ctx, Chain& chain, Buf& buf,
   const ElemAddr at = elemAddr(idx, stripe);
   ctrl.prefetch(ctx, at.dev, at.lba, chain);
   int t = ctrl.submitRead(ctx, at.dev, at.lba, buf, chain);
-  return t + ctrl.arrayRead(ctx, at.dev, idx, chain);
+  return t + ctrl.arrayRead(ctx, idx, chain) + ctrl.arrayRead(ctx, 0, chain);
 }
 
 unsigned routedQueuePairs(QueuePairs& qps, const StripeMap& stripe,
