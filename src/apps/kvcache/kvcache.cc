@@ -13,9 +13,6 @@ namespace {
 // non-prompt decode chunk).
 constexpr std::uint64_t kNoKey = UINT64_MAX;
 
-// Decode steps each sequence runs per kernel launch.
-constexpr std::uint32_t kStepsPerRound = 4;
-
 bool prefixMatches(const std::vector<std::uint32_t>& prefix,
                    const std::vector<std::uint32_t>& prompt, std::size_t len) {
   if (prefix.size() != len) return false;
@@ -122,23 +119,10 @@ void KvServer::enqueue(KvRequest req) {
   pending_.push_back(std::move(req));
 }
 
-void KvServer::admitPending() {
-  while (nextPending_ < pending_.size()) {
-    if (!admitOne(std::move(pending_[nextPending_]))) break;
-    ++nextPending_;
-  }
-}
-
-bool KvServer::admitOne(KvRequest&& req) {
-  Seq* slot = nullptr;
-  for (auto& sp : slots_) {
-    if (!sp->active) {
-      slot = sp.get();
-      break;
-    }
-  }
-  if (slot == nullptr) return false;
-
+// Admit the queue head into slot `s`, or return false (the head stays
+// queued) when the pool cannot cover it.
+bool KvServer::admitOne(Seq& s) {
+  const KvRequest& req = pending_[nextPending_];
   const std::uint32_t tpb = cfg_.tokensPerBlock();
   const auto promptLen = static_cast<std::uint32_t>(req.prompt.size());
   const std::uint32_t promptChunks = promptLen / tpb;
@@ -164,37 +148,34 @@ bool KvServer::admitOne(KvRequest&& req) {
     if (!hit) newNow += cfg_.numLayers;
   }
   if (pool_.freeBlocks() < newNow + reserve + outstandingReserve_) {
-    pending_[nextPending_] = std::move(req);  // put it back; retry next round
     return false;
   }
 
-  slot->active = true;
-  slot->needsPrefill = true;
-  slot->done = false;
-  slot->req = std::move(req);
-  slot->seqLen = 0;
-  slot->tailTokens = 0;
-  slot->generated = 0;
-  slot->traceFold = 0;
-  slot->blocks.assign(cfg_.numLayers, {});
-  slot->chunkShared.clear();
-  slot->chunkKeys.clear();
-  slot->specTokens.clear();
-  slot->stats = {};
-  slot->stats.id = slot->req.id;
-  slot->stats.admitNs = host_->engine().now();
+  s.done = false;
+  s.req = std::move(pending_[nextPending_++]);
+  s.seqLen = 0;
+  s.tailTokens = 0;
+  s.generated = 0;
+  s.traceFold = 0;
+  s.blocks.assign(cfg_.numLayers, {});
+  s.chunkShared.clear();
+  s.chunkKeys.clear();
+  s.specTokens.clear();
+  s.stats = {};
+  s.stats.id = s.req.id;
+  s.stats.admitNs = host_->engine().now();
 
   for (std::uint32_t c = 0; c < promptChunks; ++c) {
     if (probes[c].hit) {
       PrefixEntry& e = prefixIndex_[probes[c].key];
       ++e.refs;
       for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
-        slot->blocks[l].push_back(e.blocks[l]);
+        s.blocks[l].push_back(e.blocks[l]);
         pool_.addRef(e.blocks[l]);
       }
-      slot->chunkShared.push_back(1);
-      slot->chunkKeys.push_back(probes[c].key);
-      slot->stats.sharedBlocks += cfg_.numLayers;
+      s.chunkShared.push_back(1);
+      s.chunkKeys.push_back(probes[c].key);
+      s.stats.sharedBlocks += cfg_.numLayers;
       ++stats_.prefixChunkHits;
       stats_.blocksShared += cfg_.numLayers;
     } else {
@@ -203,27 +184,28 @@ bool KvServer::admitOne(KvRequest&& req) {
       PrefixEntry* e = nullptr;
       if (!collision) {
         e = &prefixIndex_[probes[c].key];
-        e->prefix.assign(slot->req.prompt.begin(),
-                         slot->req.prompt.begin() + std::size_t{c + 1} * tpb);
+        e->prefix.assign(s.req.prompt.begin(),
+                         s.req.prompt.begin() + std::size_t{c + 1} * tpb);
         e->refs = 1;
       }
       for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
         const std::uint32_t b = pool_.alloc();
         AGILE_CHECK(b != KvBlockPool::kNone);
-        slot->blocks[l].push_back(b);
+        s.blocks[l].push_back(b);
         if (e != nullptr) e->blocks.push_back(b);
         ++stats_.blocksAllocated;
-        ++slot->stats.newBlocks;
+        ++s.stats.newBlocks;
       }
-      slot->chunkShared.push_back(0);
-      slot->chunkKeys.push_back(collision ? kNoKey : probes[c].key);
+      s.chunkShared.push_back(0);
+      s.chunkKeys.push_back(collision ? kNoKey : probes[c].key);
       ++stats_.prefixChunkMisses;
     }
   }
-  slot->promptChunks = promptChunks;
-  slot->reserve = reserve;
+  s.promptChunks = promptChunks;
+  s.reserve = reserve;
   outstandingReserve_ += reserve;
   ++stats_.requestsAdmitted;
+  ++activeSlots_;
   return true;
 }
 
@@ -245,61 +227,29 @@ void KvServer::releaseSeqBlocks(Seq& s) {
   s.reserve = 0;
 }
 
-void KvServer::retireFinished() {
-  for (auto& sp : slots_) {
-    Seq& s = *sp;
-    if (!s.active || !s.done) continue;
-    AGILE_CHECK(s.specTokens.empty());
-    releaseSeqBlocks(s);
-    s.stats.doneNs = host_->engine().now();
-    s.stats.generatedTokens = s.generated;
-    // Fold per-request hidden states in retire order (slot scan order is
-    // deterministic) so two runs of one workload must agree bit-for-bit.
-    stats_.attnChecksum =
-        mix64(stats_.attnChecksum ^ s.traceFold ^ s.req.id);
-    retired_.push_back(std::move(s.stats));
-    s.stats = {};
-    s.active = false;
-    ++stats_.requestsRetired;
-  }
+void KvServer::retire(Seq& s) {
+  AGILE_CHECK(s.specTokens.empty());
+  releaseSeqBlocks(s);
+  s.stats.doneNs = host_->engine().now();
+  s.stats.generatedTokens = s.generated;
+  // Fold per-request hidden states in retire order (virtual-time order, so
+  // deterministic): two runs of one workload must agree bit-for-bit.
+  stats_.attnChecksum = mix64(stats_.attnChecksum ^ s.traceFold ^ s.req.id);
+  retired_.push_back(std::move(s.stats));
+  s.stats = {};
+  --activeSlots_;
+  ++stats_.requestsRetired;
 }
 
 bool KvServer::run() {
   serveStart_ = host_->engine().now();
-  for (;;) {
-    admitPending();
-    std::vector<Seq*> round;
-    for (auto& sp : slots_) {
-      if (sp->active && !sp->done) round.push_back(sp.get());
-    }
-    if (round.empty()) {
-      AGILE_CHECK_MSG(nextPending_ >= pending_.size(),
-                      "kv pool too small for the next queued request");
-      break;
-    }
-    auto* rp = &round;
-    const bool ok = host_->runKernel(
-        {.gridDim = static_cast<std::uint32_t>(round.size()),
-         .blockDim = 1,
-         .name = "kv-round"},
-        [this, rp](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-          const std::uint32_t tid = ctx.globalThreadIdx();
-          if (tid >= rp->size()) co_return;
-          Seq& s = *(*rp)[tid];
-          core::AgileLockChain chain;
-          if (s.needsPrefill) {
-            co_await prefillSeq(ctx, s, chain);
-            co_return;  // decode starts next round: prefix writes by other
-                        // sequences this round are then on flash for sure
-          }
-          for (std::uint32_t i = 0; i < kStepsPerRound && !s.done; ++i) {
-            co_await decodeStep(ctx, s, chain);
-          }
-        });
-    if (!ok) return false;
-    ++stats_.rounds;
-    retireFinished();
-  }
+  const bool ok = host_->runKernel(
+      {.gridDim = cfg_.maxBatch, .blockDim = 1, .name = "kv-serve"},
+      [this](gpu::KernelCtx& ctx) {
+        return serveSlot(ctx, *slots_[ctx.blockIdx()]);
+      });
+  if (!ok) return false;
+  ++stats_.rounds;
   host_->drainIo();
   serveEnd_ = host_->engine().now();
   return true;
@@ -313,6 +263,30 @@ double KvServer::tokensPerSec() const {
 }
 
 // -------------------------------------------------------- GPU lanes ----
+
+// One batch slot's lane: admit, prefill, wait for shared prefix data,
+// decode, retire, and again, until the queue is empty.
+gpu::GpuTask<void> KvServer::serveSlot(gpu::KernelCtx& ctx, Seq& s) {
+  core::AgileLockChain chain;
+  while (nextPending_ < pending_.size()) {
+    if (!admitOne(s)) {
+      // Only a retiring peer can free blocks.
+      AGILE_CHECK_MSG(activeSlots_ > 0,
+                      "kv pool too small for the next queued request");
+      co_await ctx.parkOn(admitWait_);
+      continue;
+    }
+    co_await prefillSeq(ctx, s, chain);
+    for (std::uint32_t c = 0; c < s.promptChunks; ++c) {
+      if (s.chunkShared[c] == 0) continue;
+      PrefixEntry& e = prefixIndex_.find(s.chunkKeys[c])->second;
+      while (!e.landed) co_await ctx.parkOn(e.landedWait);
+    }
+    while (!s.done) co_await decodeStep(ctx, s, chain);
+    retire(s);
+    admitWait_.notifyAll(host_->engine());
+  }
+}
 
 // Batch-write the per-layer tail pages to chunk `chunk`'s blocks: one
 // coalesced submit, one doorbell, then wait so the tails are reusable.
@@ -355,7 +329,12 @@ gpu::GpuTask<void> KvServer::prefillSeq(gpu::KernelCtx& ctx, Seq& s,
   const std::uint32_t tpb = cfg_.tokensPerBlock();
   const auto promptLen = static_cast<std::uint32_t>(s.req.prompt.size());
   for (std::uint32_t c = 0; c < s.promptChunks; ++c) {
-    if (s.chunkShared[c] == 0) co_await writeChunk(ctx, s, c, chain);
+    if (s.chunkShared[c] != 0) continue;
+    co_await writeChunk(ctx, s, c, chain);
+    if (s.chunkKeys[c] == kNoKey) continue;
+    PrefixEntry& e = prefixIndex_.find(s.chunkKeys[c])->second;
+    e.landed = true;  // sharers may read it from flash from now on
+    e.landedWait.notifyAll(host_->engine());
   }
   // Leftover prompt tokens stay HBM-resident in the per-layer tails.
   const std::uint32_t base = s.promptChunks * tpb;
@@ -371,7 +350,6 @@ gpu::GpuTask<void> KvServer::prefillSeq(gpu::KernelCtx& ctx, Seq& s,
   }
   s.tailTokens = promptLen - base;
   s.seqLen = promptLen;
-  s.needsPrefill = false;
   stats_.prefillTokens += promptLen;
 }
 

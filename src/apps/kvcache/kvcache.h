@@ -1,7 +1,8 @@
 // SSD-backed paged KV cache for LLM serving (the Tutti scenario): each
 // sequence's per-layer KV tensor is paged into fixed 4 KiB blocks on flash,
 // gathered through the AGILE software cache at attention time, and shared
-// across requests with a common prompt prefix. One decode step per sequence:
+// across requests with a common prompt prefix. Each batch slot's lane runs
+// its sequences' decode steps back to back (see KvServer); one step:
 //
 //   step warm: fire-and-forget prefetch of the step's private pages, layer 0
 //     first, chunks in read order, so their SSD misses overlap; stops at
@@ -151,7 +152,7 @@ struct KvServerStats {
   std::uint64_t sharedReads = 0;    // Share-Table-path block reads
   std::uint64_t speculativeIssued = 0;
   std::uint64_t speculativeCancelled = 0;
-  std::uint64_t rounds = 0;
+  std::uint64_t rounds = 0;  // kernel launches: one per run()
   // Order-stable fold of every retired request's per-step hidden states:
   // two runs of the same workload must produce the same value bit-for-bit.
   std::uint64_t attnChecksum = 0;
@@ -196,11 +197,22 @@ KvRefResult referenceDecode(const KvConfig& cfg, const KvRequest& req);
 
 // ------------------------------------------------------- serving loop ----
 
-// Round-based continuous-batching server: admit -> prefill -> decode steps
-// -> retire. Each round launches one kernel with one single-lane warp per
-// active sequence (per-sequence control flow is fully divergent — variable
-// prompt lengths, data-dependent EOS — so wider warps would stall their
-// collectives on diverged peers).
+// Continuous-batching server: run() launches one kernel of maxBatch
+// single-lane blocks, one per batch slot, and each lane serves its slot
+// back to back until the queue is empty:
+//
+//   admit    the queue head, FIFO; if the pool cannot cover it, park until
+//            a peer retires (fatal when no slot is active)
+//   prefill  write the prompt's unshared chunks, fill the HBM tails
+//   wait     until the owner's write of every shared prefix chunk landed
+//   decode   steps until EOS
+//   retire   release blocks, wake parked admitters, loop
+//
+// No slot waits for a peer's step, so none idles at a batch barrier.
+// Admission and retirement are host bookkeeping and charge no time.
+// Per-sequence control flow is fully divergent (prompt lengths,
+// data-dependent EOS), so wider warps would stall their collectives on
+// diverged peers.
 class KvServer {
  public:
   KvServer(core::AgileHost& host, core::DefaultCtrl& ctrl, KvConfig cfg);
@@ -223,14 +235,14 @@ class KvServer {
     std::vector<std::uint32_t> prefix;  // full token prefix (collision guard)
     std::vector<std::uint32_t> blocks;  // one block per layer for this chunk
     std::uint32_t refs = 0;
+    bool landed = false;          // the owner's write of the chunk completed
+    sim::WaitList landedWait;     // sharers parked until then
   };
 
   // One active sequence slot. HBM pages (per-layer tails + the shared-read
   // ring) are carved once from one server-wide allocation and reused across
   // requests.
   struct Seq {
-    bool active = false;
-    bool needsPrefill = true;
     bool done = false;
     KvRequest req;
     std::uint32_t seqLen = 0;      // tokens with KV present
@@ -268,11 +280,11 @@ class KvServer {
     return core::elemAddr<std::uint64_t>(headElem(block, 0), ctrl_->stripe());
   }
 
-  void admitPending();
-  bool admitOne(KvRequest&& req);
-  void retireFinished();
+  bool admitOne(Seq& s);
+  void retire(Seq& s);
   void releaseSeqBlocks(Seq& s);
 
+  gpu::GpuTask<void> serveSlot(gpu::KernelCtx& ctx, Seq& s);
   gpu::GpuTask<void> prefillSeq(gpu::KernelCtx& ctx, Seq& s,
                                 core::AgileLockChain& chain);
   gpu::GpuTask<void> decodeStep(gpu::KernelCtx& ctx, Seq& s,
@@ -297,6 +309,8 @@ class KvServer {
   KvConfig cfg_;
   KvBlockPool pool_;
   std::uint32_t outstandingReserve_ = 0;
+  std::uint32_t activeSlots_ = 0;
+  sim::WaitList admitWait_;  // lanes whose head request the pool can't cover
   std::vector<std::unique_ptr<Seq>> slots_;
   std::vector<KvRequest> pending_;
   std::size_t nextPending_ = 0;

@@ -3,8 +3,12 @@
 // Every simulated GPU thread ("lane") is a C++20 coroutine returning
 // GpuTask<void>. Device-side library functions that may stall (cache reads,
 // NVMe submissions) are themselves coroutines returning GpuTask<T> and are
-// composed with `co_await`, using symmetric transfer so deeply nested calls
-// suspend and resume in O(1).
+// composed with `co_await`. Awaiting a child resumes it inline; a child that
+// finishes without suspending hands control straight back (the awaiter
+// returns false), so a loop over many such children never grows the native
+// stack, even where the compiler does not turn symmetric transfer into a
+// tail call (GCC at -O1 with ASan). A child that did suspend resumes its
+// parent from final_suspend by symmetric transfer.
 //
 // Scheduling protocol: a GpuTask chain only ever suspends back to the warp
 // scheduler through one of the KernelCtx awaitables (yield / sleep / park /
@@ -34,14 +38,18 @@ namespace detail {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
+  // True while the awaiter's inline resume() is on the stack: finishing then
+  // returns to that call, which resumes the parent by returning false.
+  bool resumedInline = false;
 
   struct FinalAwaiter {
     bool await_ready() noexcept { return false; }
     template <class P>
     std::coroutine_handle<> await_suspend(
         std::coroutine_handle<P> h) noexcept {
-      auto cont = h.promise().continuation;
-      return cont ? cont : std::noop_coroutine();
+      const PromiseBase& p = h.promise();
+      if (p.resumedInline || !p.continuation) return std::noop_coroutine();
+      return p.continuation;
     }
     void await_resume() noexcept {}
   };
@@ -52,6 +60,19 @@ struct PromiseBase {
   // kernel, not a recoverable condition.
   [[noreturn]] void unhandled_exception() { std::terminate(); }
 };
+
+// Shared by both GpuTask awaiters: run the child inline; keep the parent
+// suspended (true) only if the child suspended before finishing.
+template <class P>
+bool resumeChild(std::coroutine_handle<P> child,
+                 std::coroutine_handle<> parent) noexcept {
+  PromiseBase& p = child.promise();
+  p.continuation = parent;
+  p.resumedInline = true;
+  child.resume();
+  p.resumedInline = false;
+  return !child.done();
+}
 
 }  // namespace detail
 
@@ -96,10 +117,8 @@ class GpuTask {
     struct Awaiter {
       Handle h;
       bool await_ready() const noexcept { return !h || h.done(); }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> cont) noexcept {
-        h.promise().continuation = cont;
-        return h;  // symmetric transfer into the child
+      bool await_suspend(std::coroutine_handle<> cont) noexcept {
+        return detail::resumeChild(h, cont);
       }
       T await_resume() { return std::move(h.promise().value); }
     };
@@ -152,10 +171,8 @@ class AGILE_NODISCARD(
     struct Awaiter {
       Handle h;
       bool await_ready() const noexcept { return !h || h.done(); }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> cont) noexcept {
-        h.promise().continuation = cont;
-        return h;
+      bool await_suspend(std::coroutine_handle<> cont) noexcept {
+        return detail::resumeChild(h, cont);
       }
       void await_resume() const noexcept {}
     };

@@ -333,6 +333,40 @@ TEST_F(GpuFixture, NestedTaskComposition) {
   for (std::uint32_t i = 0; i < 32; ++i) EXPECT_EQ(out[i], (i + 1) * 2 + 5);
 }
 
+TEST_F(GpuFixture, ChildrenThatNeverSuspendDoNotGrowTheStack) {
+  // A lane awaiting 10^5 children that finish without suspending (cache
+  // hits, in the apps) must unwind each child before the next starts. Were
+  // the child handed back to its parent by symmetric transfer compiled as a
+  // plain call (GCC -O1 with ASan), every child would nest a frame and this
+  // loop would overflow an 8 MB stack.
+  struct Child {
+    static GpuTask<std::uint64_t> value(KernelCtx& ctx, std::uint64_t v) {
+      ctx.charge(1);
+      co_return v + 1;
+    }
+    static GpuTask<void> unit(KernelCtx& ctx, std::uint64_t& n) {
+      ctx.charge(1);
+      ++n;
+      co_return;
+    }
+  };
+  constexpr std::uint64_t kChildren = 100'000;
+  std::uint64_t sum = 0;
+  std::uint64_t count = 0;
+  auto k = gpu.launch({.gridDim = 1, .blockDim = 1, .name = "flat"},
+                      [&](KernelCtx& ctx) -> GpuTask<void> {
+                        for (std::uint64_t i = 0; i < kChildren; ++i) {
+                          sum += co_await Child::value(ctx, i);
+                          co_await Child::unit(ctx, count);
+                        }
+                        co_await ctx.yield();  // and still resumable
+                        sum += co_await Child::value(ctx, 0);
+                      });
+  ASSERT_TRUE(gpu.wait(k));
+  EXPECT_EQ(sum, kChildren * (kChildren + 1) / 2 + 1);
+  EXPECT_EQ(count, kChildren);
+}
+
 TEST_F(GpuFixture, SmBusyFractionTracksLoad) {
   auto k = gpu.launch({.gridDim = 8, .blockDim = 32, .name = "load"},
                       [&](KernelCtx& ctx) -> GpuTask<void> {

@@ -1,7 +1,8 @@
 // Integration tests for the SSD-backed KV-cache app (src/apps/kvcache/):
 // decode-step correctness against the in-DRAM reference model (byte-exact
 // token streams and attention traces), prefix-share hit accounting through
-// the prefix index and the Share Table, cancel-on-EOS leaking neither cache
+// the prefix index and the Share Table, per-slot refill and the wait for a
+// shared prefix chunk's write, cancel-on-EOS leaking neither cache
 // lines nor token slots nor pool blocks, and the decode loop under the
 // NVMe fault injector with the bounded retry tier (100% eventual
 // completion, deterministic rerun).
@@ -284,6 +285,84 @@ TEST_F(KvFixture, StepWarmOverlapsPrivateMisses) {
   EXPECT_GE(host->ssd(0).readsCompleted(), 64u);
   EXPECT_GE(host->ssd(0).maxObservedOutstanding(), 32u);
   EXPECT_EQ(ctrl->cache().busyLines(), 0u);
+  EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
+}
+
+// Each batch slot serves its own queue: when A hits EOS, its slot admits
+// the queued C at once instead of idling until B, still decoding in the
+// other slot, reaches a batch boundary. A batch-synchronous loop admits C
+// only after B's next few steps.
+TEST_F(KvFixture, SlotRefillsWithinFinalStep) {
+  build(/*cacheLines=*/64);
+  KvConfig cfg;
+  cfg.maxBatch = 2;
+  cfg.poolBlocks = 512;
+  KvServer server(*host, *ctrl, cfg);
+
+  Rng rng(13);
+  std::vector<KvRequest> reqs(3);
+  for (std::uint64_t id = 0; id < reqs.size(); ++id) {
+    reqs[id].id = id;
+    reqs[id].prompt = makePrompt(rng, 16, cfg.vocab);
+    reqs[id].maxNewTokens = 16;
+  }
+  reqs[0].eosAfter = 1;  // A: one step, then its slot is free
+  for (const KvRequest& r : reqs) server.enqueue(r);  // C = reqs[2] queues
+  ASSERT_TRUE(server.run());
+
+  ASSERT_EQ(server.retired().size(), reqs.size());
+  std::vector<KvRequestStats> by(reqs.size());
+  for (const KvRequestStats& st : server.retired()) {
+    EXPECT_EQ(st.generated, referenceDecode(cfg, reqs[st.id]).generated);
+    by[st.id] = st;
+  }
+  const KvRequestStats& a = by[0];
+  const KvRequestStats& b = by[1];
+  const KvRequestStats& c = by[2];
+  ASSERT_GE(b.generatedTokens, 8u);  // B decodes long after A retires
+  const SimTime bTpot =
+      (b.doneNs - b.firstTokenNs) / (b.generatedTokens - 1);
+  ASSERT_GE(c.admitNs, a.firstTokenNs);
+  EXPECT_LT(c.admitNs - a.firstTokenNs, bTpot)
+      << "C waited " << c.admitNs - a.firstTokenNs << " ns for A's slot; "
+      << "B's mean step is " << bTpot << " ns";
+  EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
+}
+
+// A sharer admitted beside the owner of its prefix must not read a shared
+// chunk before the owner's write of it lands: the flash page still holds
+// whatever was there before, and the sharer's tokens would diverge from
+// the reference. Both run in one launch, so nothing but the per-chunk
+// landed wait orders the sharer's reads after the owner's writes.
+TEST_F(KvFixture, SharerWaitsForOwnersPrefixWrite) {
+  build(/*cacheLines=*/64);
+  KvConfig cfg;
+  cfg.maxBatch = 2;
+  cfg.poolBlocks = 512;
+  cfg.recordAttnTrace = true;
+  KvServer server(*host, *ctrl, cfg);
+
+  Rng rng(17);
+  const auto prefix = makePrompt(rng, 8, cfg.vocab);  // 2 full chunks
+  std::vector<KvRequest> reqs(2);
+  for (std::uint64_t id = 0; id < reqs.size(); ++id) {
+    reqs[id].id = id;
+    reqs[id].prompt = prefix;
+    const auto tail = makePrompt(rng, 2, cfg.vocab);  // under one chunk
+    reqs[id].prompt.insert(reqs[id].prompt.end(), tail.begin(), tail.end());
+    reqs[id].maxNewTokens = 8;
+    server.enqueue(reqs[id]);
+  }
+  ASSERT_TRUE(server.run());
+
+  EXPECT_EQ(server.stats().rounds, 1u);  // admitted together, one launch
+  EXPECT_EQ(server.stats().prefixChunkHits, 2u);
+  ASSERT_EQ(server.retired().size(), reqs.size());
+  for (const KvRequestStats& st : server.retired()) {
+    const KvRefResult ref = referenceDecode(cfg, reqs[st.id]);
+    EXPECT_EQ(st.generated, ref.generated) << "request " << st.id;
+    EXPECT_EQ(st.attnTrace, ref.attnTrace) << "request " << st.id;
+  }
   EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
 }
 
