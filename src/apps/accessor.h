@@ -145,29 +145,39 @@ class AgileAccessor {
            cache.shardLineCount(s) * kPressureNum;
   }
 
-  // Depth-K pipelined gather: the prefetch of idxs[i + depth] overlaps the
-  // synchronous read of idxs[i], so SSD latency hides behind the reads
-  // instead of serializing per element. depth == 0 degenerates to the plain
-  // synchronous loop (the comparison baseline). With `adaptive` set (the
-  // default) `depth` is a ceiling: the effective window is throttled by
-  // live per-shard cache pressure, so an over-deep pipeline on an
-  // undersized cache degrades to sync instead of thrashing.
+  // Depth-K pipelined gather over page runs: maximal runs of consecutive
+  // idxs on one SSD page. Each run is resolved by one demand probe (the
+  // page-run arrayRead) and the prefetch window counts pages, not
+  // elements: runs [r, r + depth) are prefetched before run r is read, so
+  // SSD latency hides behind the reads instead of serializing per page. depth == 0 degenerates to the plain synchronous loop (the
+  // comparison baseline). With `adaptive` set (the default) `depth` is a
+  // ceiling: the effective window is throttled by live per-shard cache
+  // pressure, so an over-deep pipeline on an undersized cache degrades to
+  // sync instead of thrashing. Scattered idxs form one-element runs: one
+  // prefetch and one demand probe per element.
   gpu::GpuTask<void> gather(gpu::KernelCtx& ctx,
                             std::span<const std::uint64_t> idxs,
                             std::span<T> out, core::AgileLockChain& chain,
                             std::uint32_t depth = 8, bool adaptive = true) {
     const std::size_t n = idxs.size();
-    std::size_t ahead = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    std::size_t ahead = 0;     // first element of the next run to prefetch
+    std::size_t aheadRun = 0;  // its run number
+    std::size_t run = 0;       // run number of the run being read
+    for (std::size_t i = 0; i < n; ++run) {
       if (depth > 0) {
-        for (; ahead < n && ahead < i + depth; ++ahead) {
-          if (adaptive && ahead > i && shardSaturated(ctx, idxs[ahead])) {
+        for (; ahead < n && aheadRun < run + depth;
+             ahead = runEnd(idxs, ahead), ++aheadRun) {
+          if (adaptive && aheadRun > run &&
+              shardSaturated(ctx, idxs[ahead])) {
             break;  // shard full: issuing more would evict our own window
           }
           co_await prefetchElemDivergent(ctx, idxs[ahead], chain);
         }
       }
-      out[i] = co_await ctrl_->template arrayRead<T>(ctx, idxs[i], chain);
+      const std::size_t end = runEnd(idxs, i);
+      co_await ctrl_->template arrayRead<T>(ctx, idxs.subspan(i, end - i),
+                                            out.subspan(i, end - i), chain);
+      i = end;
     }
   }
 
@@ -194,6 +204,19 @@ class AgileAccessor {
  private:
   core::ElemAddr addr(std::uint64_t idx) const {
     return core::elemAddr<T>(idx, ctrl_->stripe());
+  }
+
+  // One past the last element of the page run starting at idxs[i]
+  // (uncharged index math, like the address resolution it repeats).
+  std::size_t runEnd(std::span<const std::uint64_t> idxs,
+                     std::size_t i) const {
+    const core::ElemAddr page = addr(idxs[i]);
+    std::size_t j = i + 1;
+    for (; j < idxs.size(); ++j) {
+      const core::ElemAddr at = addr(idxs[j]);
+      if (at.dev != page.dev || at.lba != page.lba) break;
+    }
+    return j;
   }
 
   Ctrl* ctrl_;

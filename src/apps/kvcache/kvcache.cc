@@ -487,7 +487,7 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
     if (!s.gatherIdx.empty()) {
       s.gatherOut.resize(s.gatherIdx.size());
       co_await acc.gather(ctx, s.gatherIdx, s.gatherOut, chain,
-                          cfg_.gatherDepth * tpb);
+                          cfg_.gatherDepth);
       for (const std::uint64_t v : s.gatherOut) layerSum += v;
     }
     for (std::size_t i = 0; i < shared; ++i) {

@@ -15,7 +15,10 @@
 //         into a ring of gatherDepth landing pages: up to K reads in
 //         flight, drained in chunk order, each drained slot refilled
 //       - private flushed blocks-> AgileAccessor::gather, run while the
-//         shared reads are in flight (gatherDepth pages ahead)
+//         shared reads are in flight: a block's tokensPerBlock slots form
+//         one page run, read with one demand probe, and the gather
+//         prefetches gatherDepth pages ahead — so a private page is
+//         probed three times a step (warm, prefetch-ahead, read)
 //       - unflushed tail tokens -> HBM, plain word reads
 //   sample next token; before the EOS check, deferred-prefetch the next
 //   step's layer-0 pages — on EOS every still-deferred prefetch is
@@ -95,9 +98,10 @@ struct KvConfig {
   std::uint32_t poolBlocks = 4096;   // flash blocks backing the paged KV
   // KV pages in flight per sequence on both read paths: the shared-chunk
   // landing ring holds this many pages (one when 0), and the private gather
-  // prefetches this many pages ahead (synchronous when 0). The step warm
-  // (see the decode-step diagram above) runs before either and is not
-  // bounded by this.
+  // prefetches this many pages ahead (synchronous when 0) — pages, not
+  // token slots, since the gather reads each page's slots as one run. The
+  // step warm (see the decode-step diagram above) runs before either and
+  // is not bounded by this.
   std::uint32_t gatherDepth = 8;
   std::uint32_t vocab = 32000;
   bool speculativePrefetch = true;

@@ -382,9 +382,11 @@ class SoftwareCache {
 
   // shards == 0 selects the power-of-two default derived from lineCount:
   // one shard per kAutoLinesPerShard lines, clamped to [1, kMaxShards].
-  // Small caches (every figure-bench configuration) stay single-shard —
-  // i.e. exactly the paper's design; production-scale line counts shard
-  // automatically. An explicit shard count must be a power of two.
+  // Caches under 32 Ki lines stay single-shard — exactly the paper's
+  // design; larger ones shard automatically. The DLRM figure benches'
+  // default 32,768-line cache (fig07–fig09, fig10's 2 GB point, perfbench
+  // dlrm_async) therefore runs two shards. An explicit shard count must be
+  // a power of two.
   static constexpr std::uint32_t kAutoLinesPerShard = 16384;
   static constexpr std::uint32_t kMaxShards = 64;
 

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -76,8 +77,9 @@ struct StripeMap {
 struct CtrlConfig {
   std::uint32_t cacheLines = 1024;
   // Cache shard count; 0 derives a power-of-two default from cacheLines
-  // (SoftwareCache::autoShardCount — figure-bench-sized caches stay at one
-  // shard, i.e. the paper's fully-associative design).
+  // (SoftwareCache::autoShardCount — caches under 32 Ki lines stay at one
+  // shard, the paper's fully-associative design; the DLRM benches' default
+  // 32,768 lines runs two).
   std::uint32_t cacheShards = 0;
   bool warpCoalescing = true;
   // Element->device striping of every array, accessor and app access. The
@@ -315,23 +317,46 @@ class AgileCtrl {
   // through cfg.stripe (core::elemAddr), so an array spans the stripe
   // group. T must not straddle SSD pages.
 
-  // Synchronous element read through the software cache.
+  // Synchronous element read through the software cache: the one-element
+  // case of the page-run read below.
   template <class T>
   gpu::GpuTask<T> arrayRead(gpu::KernelCtx& ctx, std::uint64_t elemIdx,
                             AgileLockChain& chain) {
-    ++stats_.arrayReads;
-    const ElemAddr at = elemAddr<T>(elemIdx, cfg_.stripe);
-    AGILE_CHECK_MSG(at.byteOff + sizeof(T) <= nvme::kLbaBytes,
-                    "element straddles SSD pages");
-    const std::uint32_t li =
-        co_await demandLine(ctx, makeTag(at.dev, at.lba), chain);
-    // Budget exhausted: degrade instead of crashing. The caller observes
-    // stats().exhaustedRetries (and, for fault runs, host ioHealth()).
-    if (li == Cache::npos) co_return T{};
-    ctx.charge(cache_.costs().word);
     T v;
-    std::memcpy(&v, cache_.line(li).data + at.byteOff, sizeof(T));
+    co_await arrayRead<T>(ctx, std::span<const std::uint64_t>(&elemIdx, 1),
+                          std::span<T>(&v, 1), chain);
     co_return v;
+  }
+
+  // Synchronous read of a page run: every element of `elemIdxs` lies on one
+  // SSD page, resolved by one demand probe (counted as one arrayRead).
+  // Each element then pays one word access and one copy, all in the probe's
+  // segment with no await in between, so the line cannot be evicted or
+  // refilled under the run.
+  template <class T>
+  gpu::GpuTask<void> arrayRead(gpu::KernelCtx& ctx,
+                               std::span<const std::uint64_t> elemIdxs,
+                               std::span<T> out, AgileLockChain& chain) {
+    AGILE_CHECK(!elemIdxs.empty() && out.size() == elemIdxs.size());
+    ++stats_.arrayReads;
+    const ElemAddr page = elemAddr<T>(elemIdxs[0], cfg_.stripe);
+    const std::uint32_t li =
+        co_await demandLine(ctx, makeTag(page.dev, page.lba), chain);
+    for (std::size_t k = 0; k < elemIdxs.size(); ++k) {
+      const ElemAddr at = elemAddr<T>(elemIdxs[k], cfg_.stripe);
+      AGILE_CHECK_MSG(at.byteOff + sizeof(T) <= nvme::kLbaBytes,
+                      "element straddles SSD pages");
+      AGILE_CHECK_MSG(at.dev == page.dev && at.lba == page.lba,
+                      "page run spans more than one SSD page");
+      // Budget exhausted: degrade instead of crashing. The caller observes
+      // stats().exhaustedRetries (and, for fault runs, host ioHealth()).
+      if (li == Cache::npos) {
+        out[k] = T{};
+        continue;
+      }
+      ctx.charge(cache_.costs().word);
+      std::memcpy(&out[k], cache_.line(li).data + at.byteOff, sizeof(T));
+    }
   }
 
   // Read if cached, else fill: the element when its page is READY in the
@@ -736,7 +761,8 @@ class AgileCtrl {
   // Cache-originated traffic (fills, writebacks) passes its shard identity
   // and probes only that shard's slice of the device's queue pairs
   // (QueuePairSet::slice). shardTotal <= 1 selects over the device's full
-  // QP range (every figure bench runs a single shard).
+  // QP range (single-shard caches; the DLRM benches' default 32,768-line
+  // cache runs two shards, so their cache traffic is sliced).
   gpu::GpuTask<std::uint32_t> issueToSsd(gpu::KernelCtx& ctx,
                                          std::uint32_t dev, nvme::Sqe cmd,
                                          Transaction txn,

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "apps/accessor.h"
 #include "apps/dlrm/dlrm.h"
@@ -316,6 +318,59 @@ TEST_F(AppsGpuFixture, GatherAdaptiveDepthThrashCorrectness) {
   }
 }
 
+// A run of idxs on one page is resolved once: one demand probe per page
+// (not per element), and the prefetch window counts pages, so each page
+// gets at most one prefetch probe. Pinned on a cold pass (every page
+// claimed once; its demand probe may find the fill BUSY and re-probe once
+// it lands) and on a warm pass, where every probe hits and the count is
+// exact.
+TEST_F(AppsGpuFixture, GatherProbesEachPageRunOnce) {
+  buildAgile(/*cacheLines=*/32);
+  AgileAccessor<std::uint64_t> acc{*ctrl};
+  constexpr std::uint64_t kPages = 8, kPerPage = 4, kStride = 128;
+  std::vector<std::uint64_t> idxs;
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    for (std::uint64_t k = 0; k < kPerPage; ++k) {
+      idxs.push_back((p * 7 + 3) * 512 + k * kStride);
+    }
+  }
+  for (const bool warm : {false, true}) {
+    const core::CacheStats c0 = ctrl->cache().stats();
+    const core::CtrlStats s0 = ctrl->stats();
+    std::vector<std::uint64_t> out(idxs.size(), 0);
+    ASSERT_TRUE(host->runKernel(
+        {.gridDim = 1, .blockDim = 1, .name = "gather-runs"},
+        [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+          core::AgileLockChain chain;
+          co_await acc.gather(ctx, std::span<const std::uint64_t>(idxs),
+                              std::span<std::uint64_t>(out), chain,
+                              /*depth=*/2);
+        }));
+    const core::CacheStats& c1 = ctrl->cache().stats();
+    const std::uint64_t hits = c1.hits - c0.hits;
+    const std::uint64_t misses = c1.misses - c0.misses;
+    const std::uint64_t busy = c1.busyHits - c0.busyHits;
+    EXPECT_EQ(ctrl->stats().arrayReads - s0.arrayReads, kPages);
+    EXPECT_LE(ctrl->stats().prefetches - s0.prefetches, kPages);
+    if (warm) {
+      // Every page READY: kPages demand hits plus one prefetch hit each.
+      EXPECT_EQ(misses, 0u);
+      EXPECT_EQ(busy, 0u);
+      EXPECT_EQ(hits, 2 * kPages);
+    } else {
+      // Each page: the prefetch's claim, then the demand probe, which may
+      // find the fill in flight and re-probe once it lands.
+      EXPECT_EQ(misses, kPages);
+      EXPECT_LE(hits + misses + busy, 3 * kPages);
+    }
+    for (std::size_t i = 0; i < idxs.size(); ++i) {
+      const auto at = core::elemAddr<std::uint64_t>(idxs[i]);
+      ASSERT_EQ(out[i], nvme::FlashStore::patternWord(at.lba, at.byteOff / 8))
+          << (warm ? "warm " : "cold ") << i;
+    }
+  }
+}
+
 TEST(MlpTest, FlopsAndTime) {
   MlpSpec spec{.layerDims = {512, 512}};
   EXPECT_EQ(spec.flops(4), 2ull * 4 * 512 * 512 * 2);
@@ -396,6 +451,9 @@ struct DlrmPipelineFixture : ::testing::Test {
   // Host SSD count and the AGILE controller's stripe over them.
   std::uint32_t ssds = 1;
   core::StripeMap stripe;
+  // AGILE controller's cache shard count (0: SoftwareCache::autoShardCount,
+  // one shard at these cache sizes).
+  std::uint32_t cacheShards = 0;
   // AGILE modes: the controller's stats at the end of the last run, and
   // the reads each SSD completed over it.
   core::CtrlStats ctrlStats;
@@ -422,8 +480,9 @@ struct DlrmPipelineFixture : ::testing::Test {
       return runDlrm<core::DefaultCtrl>(host, cfg, trace, mode, nullptr,
                                         &bamCtrl, batch, /*epochs=*/4);
     }
-    core::DefaultCtrl ctrl(
-        host, core::CtrlConfig{.cacheLines = cacheLines, .stripe = stripe});
+    core::DefaultCtrl ctrl(host, core::CtrlConfig{.cacheLines = cacheLines,
+                                                  .cacheShards = cacheShards,
+                                                  .stripe = stripe});
     host.startAgile();
     auto res = runDlrm(host, cfg, trace, mode, &ctrl, nullptr, batch, 4,
                        warmupEpochs, gatherDepth);
@@ -505,6 +564,27 @@ TEST_F(DlrmPipelineFixture, AgileModesSpreadOverTheStripe) {
     ASSERT_EQ(readsPerSsd.size(), 2u);
     EXPECT_GT(readsPerSsd[0], 0u) << name;
     EXPECT_GT(readsPerSsd[1], 0u) << name;
+  }
+}
+
+TEST_F(DlrmPipelineFixture, AgileModesReadFlashWordsOnAShardedCache) {
+  // The figure-bench DLRM cache (32,768 lines) runs two shards by default;
+  // pin the sharded path at test scale: per-shard probes, stalls and SQ
+  // slices must still return the flash words with no I/O given up.
+  cacheShards = 4;
+  const std::pair<DlrmMode, std::uint32_t> legs[] = {
+      {DlrmMode::kAgileSync, 0},
+      {DlrmMode::kAgileAsync, 0},
+      {DlrmMode::kAgileAsync, 8},
+  };
+  for (const auto& [mode, depth] : legs) {
+    const auto r = run(mode, depth);
+    const std::string name =
+        std::string(mode == DlrmMode::kAgileSync ? "sync" : "async") +
+        " depth " + std::to_string(depth);
+    EXPECT_GT(r.ssdReads, 0u) << name;
+    EXPECT_EQ(r.ioAborted, 0u) << name;
+    EXPECT_EQ(r.wrongWords, 0u) << name;
   }
 }
 
