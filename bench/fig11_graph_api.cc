@@ -69,7 +69,7 @@ struct BamFloatReader {
   template <class T>
   gpu::GpuTask<T> readAs(gpu::KernelCtx& ctx, std::uint64_t idx,
                          core::AgileLockChain& chain) {
-    co_return co_await bam->readElem<T>(ctx, 0, idx, chain);
+    co_return co_await bam->readElem<T>(ctx, idx, chain);
   }
 };
 
@@ -108,7 +108,7 @@ Breakdown measure(App app, Lib lib, const apps::CsrGraph& g) {
     host->stopAgile();
   } else {
     bam::DefaultBamCtrl bamCtrl(*host, bam::BamConfig{.cacheLines = cacheLines});
-    apps::BamAccessor<std::uint32_t> colAcc{bamCtrl, 0};
+    apps::BamAccessor<std::uint32_t> colAcc{bamCtrl};
     BamFloatReader rd{&bamCtrl};
     ShiftedFloatAcc<BamFloatReader> valAcc{&rd, valBase};
     coldMs = timedRun(*host, app, g, colAcc, valAcc);

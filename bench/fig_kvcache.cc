@@ -3,10 +3,10 @@
 // Sweeps context length x batch size x cache fraction (software-cache lines
 // as a fraction of the sweep point's working-set pages) over the KvServer
 // continuous-batching loop: prefill writes paged KV to flash, decode
-// gathers it back at attention time with depth-K pipelining, prefix-shared
-// chunks ride the Share Table, and speculative next-step prefetches are
-// cancelled on EOS. Reports tokens per virtual second per point; every
-// point validates its token streams against the in-DRAM reference model.
+// gathers it back at attention time with depth-K pipelining, and
+// prefix-shared chunks ride the Share Table. Reports tokens per virtual
+// second per point; every point validates its token streams against the
+// in-DRAM reference model.
 // The headline is tokens/sec at the gated point (ctx 64, batch 8, 50%
 // cache), which runs twice to confirm determinism (same seed => same
 // attention checksum and virtual end time).
@@ -40,7 +40,6 @@ struct PointResult {
   std::uint64_t tokens = 0;
   double tokensPerSec = 0.0;
   std::uint64_t shareHits = 0;
-  std::uint64_t specCancelled = 0;
   std::uint64_t attnChecksum = 0;
   SimTime virtualNs = 0;
   bool refMatch = false;
@@ -112,7 +111,6 @@ PointResult runPoint(const Point& p, bool quick) {
   res.tokens = server.stats().tokensGenerated;
   res.tokensPerSec = server.tokensPerSec();
   res.shareHits = ctrl.shareTable().stats().hits;
-  res.specCancelled = server.stats().speculativeCancelled;
   res.attnChecksum = server.stats().attnChecksum;
   res.virtualNs = host.engine().now();
   res.refMatch = true;
@@ -149,10 +147,10 @@ int main(int argc, char** argv) {
         PointResult r = runPoint({ctx, batch, frac}, quick);
         std::printf("%-14s reqs %3" PRIu64 "/%3" PRIu64 "  tokens %5" PRIu64
                     "  %9.0f tok/s  share-hits %5" PRIu64
-                    "  spec-cancel %4" PRIu64 "  ref %s  clean %s\n",
+                    "  ref %s  clean %s\n",
                     r.name.c_str(), r.retired, r.requests, r.tokens,
-                    r.tokensPerSec, r.shareHits, r.specCancelled,
-                    r.refMatch ? "ok" : "FAIL", r.clean ? "ok" : "LEAK");
+                    r.tokensPerSec, r.shareHits, r.refMatch ? "ok" : "FAIL",
+                    r.clean ? "ok" : "LEAK");
         results.push_back(std::move(r));
       }
     }
@@ -189,10 +187,9 @@ int main(int argc, char** argv) {
         "\"cache_frac\": %.3f, \"requests\": %" PRIu64
         ", \"retired\": %" PRIu64 ", \"tokens\": %" PRIu64
         ", \"tokens_per_sec\": %.0f, \"share_hits\": %" PRIu64
-        ", \"spec_cancelled\": %" PRIu64 ", \"ref_match\": %s, "
-        "\"clean\": %s, \"new_events_per_sec\": %.0f}%s\n",
+        ", \"ref_match\": %s, \"clean\": %s, \"new_events_per_sec\": %.0f}%s\n",
         r.name.c_str(), r.p.ctx, r.p.batch, r.p.cacheFrac, r.requests,
-        r.retired, r.tokens, r.tokensPerSec, r.shareHits, r.specCancelled,
+        r.retired, r.tokens, r.tokensPerSec, r.shareHits,
         r.refMatch ? "true" : "false", r.clean ? "true" : "false",
         r.tokensPerSec, i + 1 < results.size() ? "," : "");
   }

@@ -1,11 +1,10 @@
 // Example: SSD-backed KV-cache serving (src/apps/kvcache/). Six requests —
 // three sharing one prompt prefix, three sharing another — run through the
 // continuous-batching KvServer: prefill writes paged KV blocks to flash,
-// decode gathers them back through the AGILE cache at attention time, the
-// prefix index dedupes the shared chunks, and speculative next-step
-// prefetches are cancelled on EOS. Every generated token stream is checked
-// against the in-DRAM reference model, so this doubles as an end-to-end
-// smoke test of the storage path.
+// decode gathers them back through the AGILE cache at attention time, and
+// the prefix index dedupes the shared chunks. Every generated token stream
+// is checked against the in-DRAM reference model, so this doubles as an
+// end-to-end smoke test of the storage path.
 #include <cstdio>
 #include <vector>
 
@@ -78,9 +77,6 @@ int main() {
   std::printf("  prefix sharing      : %llu chunk hits, %llu blocks reused\n",
               static_cast<unsigned long long>(s.prefixChunkHits),
               static_cast<unsigned long long>(s.blocksShared));
-  std::printf("  speculative prefetch: %llu issued, %llu cancelled on EOS\n",
-              static_cast<unsigned long long>(s.speculativeIssued),
-              static_cast<unsigned long long>(s.speculativeCancelled));
   std::printf("  share-table         : %llu peer-buffer hits\n",
               static_cast<unsigned long long>(ctrl.shareTable().stats().hits));
   std::printf("  throughput          : %.0f tokens/s (virtual)\n",

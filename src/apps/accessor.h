@@ -222,15 +222,15 @@ class AgileAccessor {
   Ctrl* ctrl_;
 };
 
-// BaM synchronous reads over one SSD.
+// BaM synchronous reads over one SSD (see BamCtrl::readElem).
 template <class T, class Bam = bam::DefaultBamCtrl>
 class BamAccessor {
  public:
-  BamAccessor(Bam& bam, std::uint32_t dev) : bam_(&bam), dev_(dev) {}
+  explicit BamAccessor(Bam& bam) : bam_(&bam) {}
 
   gpu::GpuTask<T> read(gpu::KernelCtx& ctx, std::uint64_t idx,
                        core::AgileLockChain& chain) {
-    co_return co_await bam_->template readElem<T>(ctx, dev_, idx, chain);
+    co_return co_await bam_->template readElem<T>(ctx, idx, chain);
   }
 
   Bam& ctrl() { return *bam_; }
@@ -239,7 +239,6 @@ class BamAccessor {
 
  private:
   Bam* bam_;
-  std::uint32_t dev_;
 };
 
 }  // namespace agile::apps

@@ -115,7 +115,7 @@ DlrmRunResult runDlrm(core::AgileHost& host, const DlrmConfig& cfg,
           const std::uint64_t elem = detail::rowToElem(cfg, rowsPtr[slot]);
           if (mode == DlrmMode::kBam) {
             words[slot] = co_await bamCtrl->template readElem<std::uint64_t>(
-                ctx, rowAddr(rowsPtr[slot]).dev, elem, chain);
+                ctx, elem, chain);
           } else {
             words[slot] = co_await ctrl->template arrayRead<std::uint64_t>(
                 ctx, elem, chain);

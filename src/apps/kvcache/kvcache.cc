@@ -5,6 +5,7 @@
 
 #include "apps/accessor.h"
 #include "common/check.h"
+#include "core/io_token.h"
 
 namespace agile::apps::kv {
 
@@ -160,7 +161,6 @@ bool KvServer::admitOne(Seq& s) {
   s.blocks.assign(cfg_.numLayers, {});
   s.chunkShared.clear();
   s.chunkKeys.clear();
-  s.specTokens.clear();
   s.stats = {};
   s.stats.id = s.req.id;
   s.stats.admitNs = host_->engine().now();
@@ -228,7 +228,6 @@ void KvServer::releaseSeqBlocks(Seq& s) {
 }
 
 void KvServer::retire(Seq& s) {
-  AGILE_CHECK(s.specTokens.empty());
   releaseSeqBlocks(s);
   s.stats.doneNs = host_->engine().now();
   s.stats.generatedTokens = s.generated;
@@ -389,17 +388,6 @@ gpu::GpuTask<std::uint64_t> KvServer::drainShared(
   co_return sum;
 }
 
-void KvServer::sweepSpeculative(gpu::KernelCtx& ctx, Seq& s) {
-  for (const core::IoToken& t : s.specTokens) {
-    if (ctrl_->cancel(ctx, t)) {
-      ++stats_.speculativeCancelled;
-    } else {
-      ctrl_->retire(t);  // already fired / demand-attached: let it land
-    }
-  }
-  s.specTokens.clear();
-}
-
 gpu::GpuTask<void> KvServer::flushTails(gpu::KernelCtx& ctx, Seq& s,
                                         core::AgileLockChain& chain) {
   AGILE_CHECK(s.reserve >= cfg_.numLayers);
@@ -421,12 +409,6 @@ gpu::GpuTask<void> KvServer::flushTails(gpu::KernelCtx& ctx, Seq& s,
 
 gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
                                         core::AgileLockChain& chain) {
-  // The previous step's deferred prefetches either fired (their fills are
-  // riding or landed) or will feed this step's layer-0 reads; the handles
-  // are no longer needed either way.
-  for (const core::IoToken& t : s.specTokens) ctrl_->retire(t);
-  s.specTokens.clear();
-
   AgileAccessor<std::uint64_t> acc(*ctrl_);
   const std::uint32_t tpb = cfg_.tokensPerBlock();
   const auto chunks = static_cast<std::uint32_t>(s.blocks[0].size());
@@ -449,19 +431,6 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
 
   std::uint64_t h = 0;
   for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
-    // Overlap this layer's gather with a deferred prefetch of the next
-    // layer's leading pages (the speculative window is short: the fills
-    // fire well before that layer's reads arrive).
-    if (cfg_.speculativePrefetch && l + 1 < cfg_.numLayers) {
-      const std::uint32_t n = std::min(chunks, cfg_.specPagesPerStep);
-      for (std::uint32_t c = 0; c < n; ++c) {
-        const core::ElemAddr at = blockPage(s.blocks[l + 1][c]);
-        s.specTokens.push_back(co_await ctrl_->submitPrefetch(
-            ctx, at.dev, at.lba, chain, cfg_.speculativeDelayNs,
-            s.req.tenant));
-        ++stats_.speculativeIssued;
-      }
-    }
     std::uint64_t layerSum = 0;
     s.sharedBlocks.clear();
     s.gatherIdx.clear();
@@ -512,23 +481,9 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
   ++s.generated;
   ++stats_.tokensGenerated;
 
-  // Believe the sequence continues: deferred-prefetch the next step's
-  // layer-0 pages *before* the EOS decision, with the cancellation window
-  // open across it — the serving-loop shape that makes cancel-on-EOS real.
-  if (cfg_.speculativePrefetch) {
-    const std::uint32_t n = std::min(chunks, cfg_.specPagesPerStep);
-    for (std::uint32_t c = 0; c < n; ++c) {
-      const core::ElemAddr at = blockPage(s.blocks[0][c]);
-      s.specTokens.push_back(co_await ctrl_->submitPrefetch(
-          ctx, at.dev, at.lba, chain, cfg_.speculativeDelayNs,
-          s.req.tenant));
-      ++stats_.speculativeIssued;
-    }
-  }
   const bool eos = s.generated >= s.req.maxNewTokens ||
                    s.generated >= s.req.eosAfter || isEosToken(tok);
   if (eos) {
-    sweepSpeculative(ctx, s);
     s.done = true;
     co_return;
   }

@@ -9,7 +9,6 @@
 //     lineCount / maxBatch pages (one sequence's share of the cache) or at
 //     the first page whose cache shard is >= 3/4 BUSY
 //   for each layer L:
-//     speculative deferred prefetch of layer L+1's first pages   (PR-3 path)
 //     attention = sum over past tokens of their KV head word
 //       - prefix-shared blocks  -> asyncRead + Share Table (peer redirect)
 //         into a ring of gatherDepth landing pages: up to K reads in
@@ -20,9 +19,8 @@
 //         prefetches gatherDepth pages ahead — so a private page is
 //         probed three times a step (warm, prefetch-ahead, read)
 //       - unflushed tail tokens -> HBM, plain word reads
-//   sample next token; before the EOS check, deferred-prefetch the next
-//   step's layer-0 pages — on EOS every still-deferred prefetch is
-//   cancelled in O(1) with no SSD traffic.
+//   sample next token; on EOS the slot retires, else the token's KV is
+//   appended to the HBM tails (flushed to flash when a block fills).
 //
 // KV content is a deterministic hash of (token, layer, position, word), so a
 // DRAM reference model (referenceDecode) can replay any request byte-exactly
@@ -38,7 +36,6 @@
 
 #include "core/ctrl.h"
 #include "core/host.h"
-#include "core/io_token.h"
 #include "qos/tenant.h"
 
 namespace agile::apps::kv {
@@ -104,10 +101,7 @@ struct KvConfig {
   // is not bounded by this.
   std::uint32_t gatherDepth = 8;
   std::uint32_t vocab = 32000;
-  bool speculativePrefetch = true;
-  SimTime speculativeDelayNs = 1500;  // deferred-issue cancellation window
-  std::uint32_t specPagesPerStep = 4;  // deferred prefetches per layer hop
-  bool recordAttnTrace = false;        // per-step hidden state, for tests
+  bool recordAttnTrace = false;  // per-step hidden state, for tests
 
   std::uint32_t wordsPerPage() const {
     return nvme::kLbaBytes / sizeof(std::uint64_t);
@@ -120,12 +114,13 @@ struct KvRequest {
   std::uint64_t id = 0;
   std::vector<std::uint32_t> prompt;
   std::uint32_t maxNewTokens = 16;
-  // QoS identity: every SSD submission this request triggers (shared-chunk
-  // reads, tail-page batch writes, speculative prefetches) is attributed to
-  // this tenant for admission, WFQ, and per-tenant SLO accounting.
+  // QoS identity: this request's shared-chunk reads and tail-page batch
+  // writes are attributed to this tenant for admission, WFQ, and
+  // per-tenant SLO accounting. The cache fills of the step warm and the
+  // private gather carry the host tenant.
   qos::TenantId tenant = qos::kHostTenant;
   // Test hook: force EOS once this many tokens were generated (in addition
-  // to maxNewTokens and the data-dependent EOS), so cancel-on-termination
+  // to maxNewTokens and the data-dependent EOS), so early-termination
   // paths can be pinned to an exact step.
   std::uint32_t eosAfter = UINT32_MAX;
 };
@@ -154,8 +149,8 @@ struct KvServerStats {
   std::uint64_t prefixChunkHits = 0;
   std::uint64_t prefixChunkMisses = 0;
   std::uint64_t sharedReads = 0;    // Share-Table-path block reads
-  std::uint64_t speculativeIssued = 0;
-  std::uint64_t speculativeCancelled = 0;
+  std::uint64_t speculativeIssued = 0;     // always 0; perfbench reads it
+  std::uint64_t speculativeCancelled = 0;  // always 0; perfbench reads it
   std::uint64_t rounds = 0;  // kernel launches: one per run()
   // Order-stable fold of every retired request's per-step hidden states:
   // two runs of the same workload must produce the same value bit-for-bit.
@@ -266,7 +261,6 @@ class KvServer {
     std::unique_ptr<core::AgileBuf[]> ring;
     std::vector<core::AgileBufPtr> ringPtrs;
     std::vector<std::uint32_t> sharedBlocks;  // this layer's shared chunks
-    std::vector<core::IoToken> specTokens;   // outstanding deferred prefetches
     std::vector<std::uint64_t> gatherIdx;    // scratch for the gather path
     std::vector<std::uint64_t> gatherOut;
     KvRequestStats stats;
@@ -306,7 +300,6 @@ class KvServer {
   gpu::GpuTask<std::uint64_t> drainShared(gpu::KernelCtx& ctx, Seq& s,
                                           std::size_t i,
                                           core::AgileLockChain& chain);
-  void sweepSpeculative(gpu::KernelCtx& ctx, Seq& s);
 
   core::AgileHost* host_;
   core::DefaultCtrl* ctrl_;

@@ -22,6 +22,7 @@
 #include "common/check.h"
 #include "core/cache.h"
 #include "core/cost_model.h"
+#include "core/ctrl.h"
 #include "core/host.h"
 #include "core/io_queues.h"
 #include "core/lock.h"
@@ -66,13 +67,13 @@ class BamCtrl {
   const BamStats& stats() const { return stats_; }
 
   // Synchronous element read: returns only when the value is in HBM.
+  // Elements are addressed by core::elemAddr with the default (one-device)
+  // stripe, so a BaM array lives on SSD 0.
   template <class T>
-  gpu::GpuTask<T> readElem(gpu::KernelCtx& ctx, std::uint32_t dev,
-                           std::uint64_t elemIdx, core::AgileLockChain& chain) {
+  gpu::GpuTask<T> readElem(gpu::KernelCtx& ctx, std::uint64_t elemIdx,
+                           core::AgileLockChain& chain) {
     ++stats_.reads;
-    const std::uint64_t byteOff = elemIdx * sizeof(T);
-    const std::uint64_t lba = byteOff / nvme::kLbaBytes;
-    const std::uint32_t off = byteOff % nvme::kLbaBytes;
+    const auto [dev, lba, off] = core::elemAddr<T>(elemIdx);
     AGILE_CHECK(off + sizeof(T) <= nvme::kLbaBytes);
 
     const std::uint32_t line = co_await acquireReadyLine(ctx, dev, lba, chain);
@@ -86,13 +87,10 @@ class BamCtrl {
   // Synchronous element write (read-modify-write; dirty line written back on
   // eviction, as in BaM's write-back cache mode).
   template <class T>
-  gpu::GpuTask<void> writeElem(gpu::KernelCtx& ctx, std::uint32_t dev,
-                               std::uint64_t elemIdx, T value,
-                               core::AgileLockChain& chain) {
+  gpu::GpuTask<void> writeElem(gpu::KernelCtx& ctx, std::uint64_t elemIdx,
+                               T value, core::AgileLockChain& chain) {
     ++stats_.writes;
-    const std::uint64_t byteOff = elemIdx * sizeof(T);
-    const std::uint64_t lba = byteOff / nvme::kLbaBytes;
-    const std::uint32_t off = byteOff % nvme::kLbaBytes;
+    const auto [dev, lba, off] = core::elemAddr<T>(elemIdx);
     AGILE_CHECK(off + sizeof(T) <= nvme::kLbaBytes);
 
     const std::uint32_t line = co_await acquireReadyLine(ctx, dev, lba, chain);

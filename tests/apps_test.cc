@@ -138,7 +138,7 @@ TEST_F(AppsGpuFixture, BfsMatchesReferenceBam) {
   auto g = uniformRandomGraph(400, 5, 13);
   buildBam();
   writeArrayToSsd(host->ssd(0), 0, g.col);
-  BamAccessor<std::uint32_t> acc{*bamCtrl, 0};
+  BamAccessor<std::uint32_t> acc{*bamCtrl};
   std::vector<std::uint32_t> dist;
   ASSERT_TRUE(runBfs(*host, g, acc, 1, &dist));
   EXPECT_EQ(dist, bfsReference(g, 1));

@@ -42,7 +42,7 @@ TEST_F(BamFixture, ReadElemReturnsFlashContent) {
       {.gridDim = 1, .blockDim = 1, .name = "bread"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        got = co_await bam->readElem<std::uint64_t>(ctx, 0, 5, chain);
+        got = co_await bam->readElem<std::uint64_t>(ctx, 5, chain);
       }));
   EXPECT_EQ(got, nvme::FlashStore::patternWord(0, 5));
 }
@@ -53,8 +53,8 @@ TEST_F(BamFixture, SecondReadHitsCache) {
       {.gridDim = 1, .blockDim = 1, .name = "bhit"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        (void)co_await bam->readElem<std::uint64_t>(ctx, 0, 3, chain);
-        (void)co_await bam->readElem<std::uint64_t>(ctx, 0, 4, chain);
+        (void)co_await bam->readElem<std::uint64_t>(ctx, 3, chain);
+        (void)co_await bam->readElem<std::uint64_t>(ctx, 4, chain);
       }));
   EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
   EXPECT_EQ(bam->cache().stats().hits, 2u);  // re-probe after fill + real hit
@@ -67,8 +67,8 @@ TEST_F(BamFixture, WriteElemReadBack) {
       {.gridDim = 1, .blockDim = 1, .name = "bwrite"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        co_await bam->writeElem<std::uint64_t>(ctx, 0, 7, 0x77, chain);
-        got = co_await bam->readElem<std::uint64_t>(ctx, 0, 7, chain);
+        co_await bam->writeElem<std::uint64_t>(ctx, 7, 0x77, chain);
+        got = co_await bam->readElem<std::uint64_t>(ctx, 7, chain);
       }));
   EXPECT_EQ(got, 0x77u);
 }
@@ -80,9 +80,9 @@ TEST_F(BamFixture, DirtyEvictionPersists) {
       {.gridDim = 1, .blockDim = 1, .name = "bdirty"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        co_await bam->writeElem<std::uint64_t>(ctx, 0, 7, 0x99, chain);
-        (void)co_await bam->readElem<std::uint64_t>(ctx, 0, 512, chain);
-        got = co_await bam->readElem<std::uint64_t>(ctx, 0, 7, chain);
+        co_await bam->writeElem<std::uint64_t>(ctx, 7, 0x99, chain);
+        (void)co_await bam->readElem<std::uint64_t>(ctx, 512, chain);
+        got = co_await bam->readElem<std::uint64_t>(ctx, 7, chain);
       }));
   EXPECT_EQ(got, 0x99u);
   EXPECT_GE(host->ssd(0).writesCompleted(), 1u);
@@ -115,7 +115,7 @@ TEST_F(BamFixture, ManyThreadsCompleteWithoutService) {
         std::uint64_t sum = 0;
         for (int i = 0; i < 3; ++i) {
           sum += co_await bam->readElem<std::uint64_t>(
-              ctx, 0, (tid * 13 + i * 257) % 8192, chain);
+              ctx, (tid * 13 + i * 257) % 8192, chain);
         }
         (void)sum;
         ++done;
@@ -139,7 +139,7 @@ TEST_F(BamFixture, PollingBurnsMoreSmTimeThanAgile) {
           std::uint64_t sum = 0;
           for (int i = 0; i < 4; ++i) {
             sum += co_await lib.template readElem<std::uint64_t>(
-                ctx, 0, (tid * 29 + i * 521) % 16384, chain);
+                ctx, (tid * 29 + i * 521) % 16384, chain);
           }
           (void)sum;
         });

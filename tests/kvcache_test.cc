@@ -2,7 +2,7 @@
 // decode-step correctness against the in-DRAM reference model (byte-exact
 // token streams and attention traces), prefix-share hit accounting through
 // the prefix index and the Share Table, per-slot refill and the wait for a
-// shared prefix chunk's write, cancel-on-EOS leaking neither cache
+// shared prefix chunk's write, an early EOS leaking neither cache
 // lines nor token slots nor pool blocks, and the decode loop under the
 // NVMe fault injector with the bounded retry tier (100% eventual
 // completion, deterministic rerun).
@@ -101,8 +101,8 @@ TEST_F(KvFixture, DecodeMatchesDramReference) {
 }
 
 // The KV block layout follows the controller's stripe: the batch writes,
-// the Share-Table reads and their release, the speculative prefetches and
-// the accessor's warm and gather all resolve a block through the same map.
+// the Share-Table reads and their release, and the accessor's warm and
+// gather all resolve a block through the same map.
 // On a 3-SSD stripe decode stays byte-exact, nothing leaks, and every SSD
 // serves reads.
 TEST_F(KvFixture, StripedLayoutSpreadsOverEverySsd) {
@@ -233,7 +233,6 @@ TEST_F(KvFixture, SharedReadsPipelinePerSequence) {
   KvConfig cfg;
   cfg.maxBatch = 2;
   cfg.poolBlocks = 512;
-  cfg.speculativePrefetch = false;  // only demand reads reach the device
   KvServer server(*host, *ctrl, cfg);
 
   Rng rng(91);
@@ -262,7 +261,7 @@ TEST_F(KvFixture, SharedReadsPipelinePerSequence) {
 // private prompt chunks (64 pages over 4 layers) and a cache that holds
 // them all: the first decode step misses every page, and the warm must put
 // most of them in flight at once. A per-layer window alone peaks near
-// gatherDepth + specPagesPerStep reads; prefill writes peak at numLayers.
+// gatherDepth reads; prefill writes peak at numLayers.
 TEST_F(KvFixture, StepWarmOverlapsPrivateMisses) {
   build(/*cacheLines=*/128);
   KvConfig cfg;
@@ -366,19 +365,17 @@ TEST_F(KvFixture, SharerWaitsForOwnersPrefixWrite) {
   EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
 }
 
-// EOS fires with next-step speculative prefetches still inside their
-// cancellation window: cancel must release the claimed lines and retire
-// the tokens, leaving no BUSY line, no live op slot, no pinned staging
-// page, and the block pool back at its initial free count.
-TEST_F(KvFixture, CancelOnEosLeaksNothing) {
-  // Cache far smaller than the per-step working set, so by the time the
-  // end-of-step prefetch fires the layer-0 pages have been evicted and the
-  // prefetch genuinely claims (and must release) a line.
+// EOS fires after the first step, on a cache far smaller than the step's
+// working set, so the step's warm and gather evict and refill lines right
+// up to retirement. Nothing may outlive the request: no BUSY line, no live
+// op slot, no pinned staging page, no share entry, no pending transaction,
+// and the block pool back at its initial free count. Decode issues no
+// deferred (cancellable) prefetch at all.
+TEST_F(KvFixture, EarlyEosLeaksNothing) {
   build(/*cacheLines=*/8);
   KvConfig cfg;
   cfg.maxBatch = 1;
   cfg.poolBlocks = 256;
-  cfg.speculativeDelayNs = 50'000;  // hold the window open across sampling
   KvServer server(*host, *ctrl, cfg);
 
   Rng rng(55);
@@ -393,9 +390,7 @@ TEST_F(KvFixture, CancelOnEosLeaksNothing) {
   const KvServerStats& s = server.stats();
   EXPECT_EQ(s.requestsRetired, 1u);
   EXPECT_EQ(s.tokensGenerated, 1u);
-  EXPECT_GT(s.speculativeIssued, 0u);
-  EXPECT_GT(s.speculativeCancelled, 0u);
-  EXPECT_GT(ctrl->stats().prefetchCancelled, 0u);
+  EXPECT_EQ(ctrl->stats().speculativePrefetches, 0u);
 
   EXPECT_EQ(ctrl->cache().busyLines(), 0u);
   EXPECT_EQ(ctrl->cache().busyLinesSlow(), 0u);

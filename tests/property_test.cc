@@ -295,7 +295,7 @@ TEST_P(KvServerPropertyTest, RandomServingPreservesInvariants) {
           1 + static_cast<std::uint32_t>(rng.nextBelow(kcfg.vocab - 1)));
     }
     r.maxNewTokens = 1 + static_cast<std::uint32_t>(rng.nextBelow(20));
-    // ~30% terminate early, cancelling speculative prefetches mid-window.
+    // ~30% terminate early, retiring with warm prefetches still in flight.
     if (rng.nextBool(0.3)) {
       r.eosAfter = 1 + static_cast<std::uint32_t>(rng.nextBelow(4));
     }
@@ -385,7 +385,7 @@ TEST(LivenessTest, BamTinyQueues) {
         AgileLockChain chain;
         const std::uint32_t tid = ctx.globalThreadIdx();
         const auto v = co_await bamCtrl.readElem<std::uint64_t>(
-            ctx, 0, static_cast<std::uint64_t>(tid) * 512, chain);
+            ctx, static_cast<std::uint64_t>(tid) * 512, chain);
         (void)v;
         ++done;
       });
