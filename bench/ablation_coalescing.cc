@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §3): the two-level request-coalescing design of
+// Ablation: the two-level request-coalescing design of
 // §3.3.2, on the async DLRM pipeline. Its gather-ahead probes every lookup
 // once through AgileCtrl::arrayReadOrFill. With warp-level (first-level)
 // coalescing, one leader per distinct page probes and shuffles the line to

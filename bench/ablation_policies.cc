@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §3): software-cache replacement policies on the DLRM
+// Ablation: software-cache replacement policies on the DLRM
 // embedding trace. The paper motivates AGILE's pluggable-policy design
 // (§3.4/§3.5) with the observation that no fixed policy fits all workloads;
 // this ablation quantifies the spread across the built-ins on one skewed

@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §3): number of AGILE service warps vs. random-read
+// Ablation: number of AGILE service warps vs. random-read
 // throughput. The paper argues a small number of polling warps suffices
 // (§3.2.2, warp-centric polling with round-robin CQ rotation); this sweep
 // shows where completion processing starts to bottleneck.

@@ -1,6 +1,6 @@
 // Figure 12: per-thread register usage of the Vector-Mean / BFS / SpMV
 // kernels under BaM vs AGILE, plus the AGILE service kernel, from the
-// audited static register model (see gpu/regmodel.h and DESIGN.md — `nvcc`
+// audited static register model (see gpu/regmodel.h — `nvcc`
 // is unavailable in this reproduction, so the counts are modeled, not
 // compiled). Paper: BaM 56/56/74 vs AGILE 54/46/56; service kernel 37.
 #include <cstdio>

@@ -3,7 +3,8 @@
 //   - NativeAccessor : data resident in HBM (the "Kernel time" baseline of
 //                      the §4.5 three-step methodology),
 //   - AgileAccessor  : AGILE's synchronous array API plus the asynchronous
-//                      token surface (readAsync / gather / prefetch-ahead),
+//                      token surface (gather / prefetch-ahead /
+//                      speculative prefetch),
 //   - BamAccessor    : BaM's synchronous reads.
 // This mirrors how the paper swaps the underlying I/O library while keeping
 // kernels identical for fair API-overhead comparison. Kernels detect the
@@ -82,14 +83,6 @@ class AgileAccessor {
     co_return co_await ctrl_->template arrayRead<T>(ctx, idx, chain);
   }
 
-  // Warp-converged prefetch of the page holding element `idx` (first-level
-  // coalescing elects a leader; requires converged lanes).
-  gpu::GpuTask<void> prefetchElem(gpu::KernelCtx& ctx, std::uint64_t idx,
-                                  core::AgileLockChain& chain) {
-    const auto at = addr(idx);
-    co_await ctrl_->prefetch(ctx, at.dev, at.lba, chain);
-  }
-
   // Divergence-safe prefetch (no warp collective) for per-row pipelines.
   gpu::GpuTask<void> prefetchElemDivergent(gpu::KernelCtx& ctx,
                                            std::uint64_t idx,
@@ -99,30 +92,14 @@ class AgileAccessor {
   }
 
   // Speculative prefetch with a cancellation window: the SSD command is
-  // deferred `delayNs` on the timer wheel; ctrl().cancel(ctx, token) aborts
-  // it with no SSD traffic while the window is open.
+  // deferred `delayNs` on the timer wheel; the controller's cancel(ctx,
+  // token) aborts it with no SSD traffic while the window is open.
   gpu::GpuTask<core::IoToken> prefetchElemSpeculative(
       gpu::KernelCtx& ctx, std::uint64_t idx, core::AgileLockChain& chain,
       SimTime delayNs) {
     const auto at = addr(idx);
     co_return co_await ctrl_->submitPrefetch(ctx, at.dev, at.lba, chain,
                                              delayNs);
-  }
-
-  // Token-based async read of the whole page holding element `idx` into a
-  // caller buffer. Pair with elemSlot(idx) to locate the element in the
-  // page: buf.as<T>()[AgileAccessor<T>::elemSlot(idx)].
-  gpu::GpuTask<core::IoToken> readAsync(gpu::KernelCtx& ctx,
-                                        std::uint64_t idx,
-                                        core::AgileBufPtr& buf,
-                                        core::AgileLockChain& chain) {
-    const auto at = addr(idx);
-    co_return co_await ctrl_->submitRead(ctx, at.dev, at.lba, buf, chain);
-  }
-
-  // Element slot within its page (pairs with readAsync).
-  static constexpr std::uint32_t elemSlot(std::uint64_t idx) {
-    return core::elemAddr<T>(idx).byteOff / sizeof(T);
   }
 
   // Pressure threshold of the adaptive pipeline: stop extending the
@@ -143,6 +120,15 @@ class AgileAccessor {
     ctx.charge(cost::kWordAccess);
     return cache.busyLines(s) * kPressureDen >=
            cache.shardLineCount(s) * kPressureNum;
+  }
+
+  // True when the page holding element `idx` is in the cache, landed or
+  // in flight. One tag lookup, charged as a single word access.
+  bool resident(gpu::KernelCtx& ctx, std::uint64_t idx) {
+    const auto at = addr(idx);
+    ctx.charge(cost::kWordAccess);
+    return ctrl_->cache().findLine(core::makeTag(at.dev, at.lba)) !=
+           Ctrl::Cache::npos;
   }
 
   // Depth-K pipelined gather over page runs: maximal runs of consecutive
@@ -181,25 +167,7 @@ class AgileAccessor {
     }
   }
 
-  // Fire-and-forget prefetch of the pages holding idxs[0..n), in order, so
-  // their SSD reads overlap one another instead of waiting for a gather's
-  // window to reach them. Stops at the first page whose shard is saturated
-  // (the gather's pressure rule): past it, more fills would evict pages
-  // the warm itself just claimed.
-  gpu::GpuTask<void> warm(gpu::KernelCtx& ctx,
-                          std::span<const std::uint64_t> idxs,
-                          core::AgileLockChain& chain) {
-    for (const std::uint64_t idx : idxs) {
-      if (shardSaturated(ctx, idx)) co_return;
-      co_await prefetchElemDivergent(ctx, idx, chain);
-    }
-  }
-
-  Ctrl& ctrl() { return *ctrl_; }
-
   static constexpr gpu::IoApiPath kRegPath = gpu::IoApiPath::kAgileArrayRead;
-  static constexpr gpu::IoApiPath kGatherRegPath =
-      gpu::IoApiPath::kAgileGatherPipelined;
 
  private:
   core::ElemAddr addr(std::uint64_t idx) const {
@@ -232,8 +200,6 @@ class BamAccessor {
                        core::AgileLockChain& chain) {
     co_return co_await bam_->template readElem<T>(ctx, idx, chain);
   }
-
-  Bam& ctrl() { return *bam_; }
 
   static constexpr gpu::IoApiPath kRegPath = gpu::IoApiPath::kBamSyncRead;
 

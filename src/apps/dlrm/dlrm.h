@@ -2,7 +2,7 @@
 // through AGILE or BaM, overlapped (or not) with the bottom/top MLP compute.
 //
 // The Criteo 1TB dataset is unavailable offline; categorical accesses are
-// synthesized per DESIGN.md with Criteo's 26 categorical features and a
+// synthesized with Criteo's 26 categorical features and a
 // Zipfian per-table row distribution, with a vocabulary mix of a few huge,
 // several medium, and many small tables. The embedding values themselves
 // come from the flash store's deterministic pattern: the timing path never

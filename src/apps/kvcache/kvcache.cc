@@ -101,6 +101,7 @@ KvServer::KvServer(core::AgileHost& host, core::DefaultCtrl& ctrl,
   for (std::uint32_t i = 0; i < cfg_.maxBatch; ++i) {
     auto s = std::make_unique<Seq>();
     s->tailBufs = std::make_unique<core::AgileBuf[]>(cfg_.numLayers);
+    s->layerEnd.resize(cfg_.numLayers);
     for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
       s->tailBufs[l].bind(nextPage());
     }
@@ -303,6 +304,19 @@ gpu::GpuTask<void> KvServer::writeTailBufs(gpu::KernelCtx& ctx, Seq& s,
   const core::IoToken t = co_await ctrl_->submitBatch(ctx, batch, chain);
   const bool ok = co_await ctrl_->wait(ctx, t);
   AGILE_CHECK_MSG(ok, "kv block write failed (retry budget exhausted?)");
+  // The pages are on flash and still in the tails. While the sequence's
+  // private pages (no live peer shares them) fit in its fair share of the
+  // cache, land them there, so the next decode step does not read them
+  // straight back; past that share they would be evicted before that step,
+  // and would only evict a peer's.
+  const auto priv = static_cast<std::size_t>(std::count_if(
+      s.blocks[0].begin(), s.blocks[0].end(),
+      [this](std::uint32_t b) { return pool_.refOf(b) == 1; }));
+  if (priv * cfg_.numLayers > fairShare()) co_return;
+  for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
+    const core::ElemAddr at = blockPage(s.blocks[l][chunk]);
+    co_await ctrl_->installWritten(ctx, at.dev, at.lba, s.tailBufs[l], chain);
+  }
 }
 
 gpu::GpuTask<void> KvServer::writeChunk(gpu::KernelCtx& ctx, Seq& s,
@@ -352,7 +366,7 @@ gpu::GpuTask<void> KvServer::prefillSeq(gpu::KernelCtx& ctx, Seq& s,
   stats_.prefillTokens += promptLen;
 }
 
-// Method-2 read of the layer's i-th shared block into ring page
+// Method-2 read of the step's i-th shared block into ring page
 // i % ringPages(), so concurrent readers of the same prefix block are
 // deduplicated by the Share Table (peer-buffer redirect) instead of each
 // paying an SSD read. The last release demotes the page into the software
@@ -365,7 +379,7 @@ gpu::GpuTask<void> KvServer::issueShared(gpu::KernelCtx& ctx, Seq& s,
                             chain, s.req.tenant);
 }
 
-// Wait for the layer's i-th shared read, sum its head words, and hand its
+// Wait for the step's i-th shared read, sum its head words, and hand its
 // ring page back (after any peer reading through it has detached).
 gpu::GpuTask<std::uint64_t> KvServer::drainShared(
     gpu::KernelCtx& ctx, Seq& s, std::size_t i, core::AgileLockChain& chain) {
@@ -413,56 +427,72 @@ gpu::GpuTask<void> KvServer::decodeStep(gpu::KernelCtx& ctx, Seq& s,
   const std::uint32_t tpb = cfg_.tokensPerBlock();
   const auto chunks = static_cast<std::uint32_t>(s.blocks[0].size());
 
-  // Step warm: prefetch the private pages this step will gather, layer 0
-  // first and chunks in read order, so their SSD misses overlap instead of
-  // each layer's gather window finding them one layer at a time. Bounded by
-  // one sequence's fair share of the cache and by the gather's shard
-  // pressure rule. Shared chunks stay on the Share-Table path.
-  const std::size_t warmPages = ctrl_->cache().lineCount() / cfg_.maxBatch;
-  s.gatherIdx.clear();
+  // The step's fetch plan, fixed at step start (a peer's admit or retire
+  // may move a block's refcount mid-step): prefix-shared blocks go through
+  // the Share Table, private ones (pool refcount 1) through the cache. Both
+  // lists are layer-major in read order; layerEnd marks each layer's end.
+  s.privatePages.clear();
+  s.sharedBlocks.clear();
   for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
-    for (std::uint32_t c = 0; c < chunks && s.gatherIdx.size() < warmPages;
-         ++c) {
+    for (std::uint32_t c = 0; c < chunks; ++c) {
       const std::uint32_t b = s.blocks[l][c];
-      if (pool_.refOf(b) == 1) s.gatherIdx.push_back(headElem(b, 0));
+      (pool_.refOf(b) > 1 ? s.sharedBlocks : s.privatePages).push_back(b);
     }
+    s.layerEnd[l] = {s.privatePages.size(), s.sharedBlocks.size()};
   }
-  co_await acc.warm(ctx, s.gatherIdx, chain);
 
+  // One prefetch window over the private pages, across layer boundaries.
+  // Its depth is the sequence's fair share of the cache, less what the
+  // step's shared reads claim of it (in proportion to their page count),
+  // but never shallower than the shared ring. It stops short at a shard
+  // >= 3/4 BUSY (the gather's pressure rule), and a page it issued that is
+  // gone by its read (a peer's fill evicted it) halves the depth for the
+  // rest of the step: past that depth the window evicts itself.
+  const std::size_t fair = fairShare();
+  const std::size_t priv = s.privatePages.size();
+  std::size_t window = std::max(
+      std::min<std::size_t>(fair, ringPages()),
+      fair * priv / std::max<std::size_t>(priv + s.sharedBlocks.size(), 1));
+  std::size_t ahead = 0;
+  std::size_t next = 0;
+  std::size_t sharedBegin = 0;
+  s.gatherIdx.resize(tpb);
+  s.gatherOut.resize(tpb);
   std::uint64_t h = 0;
   for (std::uint32_t l = 0; l < cfg_.numLayers; ++l) {
     std::uint64_t layerSum = 0;
-    s.sharedBlocks.clear();
-    s.gatherIdx.clear();
-    for (std::uint32_t c = 0; c < chunks; ++c) {
-      const std::uint32_t b = s.blocks[l][c];
-      if (pool_.refOf(b) > 1) {
-        // Prefix-shared with a live peer: go through the Share Table.
-        s.sharedBlocks.push_back(b);
-      } else {
-        for (std::uint32_t slot = 0; slot < tpb; ++slot) {
-          s.gatherIdx.push_back(headElem(b, slot));
-        }
-      }
-    }
-    // Fill the ring with shared reads, gather the private chunks while they
+    const std::size_t sharedEnd = s.layerEnd[l].second;
+    // Fill the ring with shared reads, read the private pages while they
     // are in flight, then drain the ring in order, refilling each drained
     // page with the next shared chunk.
-    const std::size_t shared = s.sharedBlocks.size();
-    std::size_t issued = 0;
-    for (; issued < std::min<std::size_t>(shared, ringPages()); ++issued) {
+    std::size_t issued = sharedBegin;
+    for (; issued < std::min(sharedEnd, sharedBegin + ringPages()); ++issued) {
       co_await issueShared(ctx, s, issued, chain);
     }
-    if (!s.gatherIdx.empty()) {
-      s.gatherOut.resize(s.gatherIdx.size());
-      co_await acc.gather(ctx, s.gatherIdx, s.gatherOut, chain,
-                          cfg_.gatherDepth);
+    for (; next < s.layerEnd[l].first; ++next) {
+      if (ahead > next &&
+          !acc.resident(ctx, headElem(s.privatePages[next], 0))) {
+        window = std::max<std::size_t>((ahead - next) / 2, 1);
+      }
+      for (ahead = std::max(ahead, next); ahead < priv && ahead < next + window;
+           ++ahead) {
+        const std::uint64_t page = headElem(s.privatePages[ahead], 0);
+        if (ahead > next && acc.shardSaturated(ctx, page)) break;
+        co_await acc.prefetchElemDivergent(ctx, page, chain);
+      }
+      // The page's tokensPerBlock slots form one run: one demand probe.
+      for (std::uint32_t slot = 0; slot < tpb; ++slot) {
+        s.gatherIdx[slot] = headElem(s.privatePages[next], slot);
+      }
+      co_await ctrl_->arrayRead<std::uint64_t>(ctx, s.gatherIdx, s.gatherOut,
+                                               chain);
       for (const std::uint64_t v : s.gatherOut) layerSum += v;
     }
-    for (std::size_t i = 0; i < shared; ++i) {
+    for (std::size_t i = sharedBegin; i < sharedEnd; ++i) {
       layerSum += co_await drainShared(ctx, s, i, chain);
-      if (issued < shared) co_await issueShared(ctx, s, issued++, chain);
+      if (issued < sharedEnd) co_await issueShared(ctx, s, issued++, chain);
     }
+    sharedBegin = sharedEnd;
     // Unflushed tail tokens live in HBM: plain word reads.
     const auto* tail =
         reinterpret_cast<const std::uint64_t*>(s.tailBufs[l].data());

@@ -4,23 +4,29 @@
 // across requests with a common prompt prefix. Each batch slot's lane runs
 // its sequences' decode steps back to back (see KvServer); one step:
 //
-//   step warm: fire-and-forget prefetch of the step's private pages, layer 0
-//     first, chunks in read order, so their SSD misses overlap; stops at
-//     lineCount / maxBatch pages (one sequence's share of the cache) or at
-//     the first page whose cache shard is >= 3/4 BUSY
+//   plan: the step's private pages (pool refcount 1) and prefix-shared
+//     blocks, each list layer-major in read order, fixed at step start
 //   for each layer L:
 //     attention = sum over past tokens of their KV head word
 //       - prefix-shared blocks  -> asyncRead + Share Table (peer redirect)
 //         into a ring of gatherDepth landing pages: up to K reads in
 //         flight, drained in chunk order, each drained slot refilled
-//       - private flushed blocks-> AgileAccessor::gather, run while the
-//         shared reads are in flight: a block's tokensPerBlock slots form
-//         one page run, read with one demand probe, and the gather
-//         prefetches gatherDepth pages ahead — so a private page is
-//         probed three times a step (warm, prefetch-ahead, read)
+//       - private flushed blocks-> read while the shared reads are in
+//         flight, through one prefetch window that runs across layers:
+//         up to the sequence's fair share of the cache (lineCount /
+//         maxBatch, less its shared pages' part, at least the ring's
+//         depth) is issued ahead of the read cursor; it stops at a shard
+//         >= 3/4 BUSY, and a page evicted before its read halves it. A
+//         block's tokensPerBlock slots form one page run, read with one
+//         demand probe, so a private page is probed twice a step
 //       - unflushed tail tokens -> HBM, plain word reads
 //   sample next token; on EOS the slot retires, else the token's KV is
 //   appended to the HBM tails (flushed to flash when a block fills).
+//
+// Prefill and tail flushes write whole pages from the HBM tails; once the
+// write lands, each page is installed in the software cache (while the
+// sequence's private pages fit its fair share), so the next step does not
+// read back from flash what it has just written.
 //
 // KV content is a deterministic hash of (token, layer, position, word), so a
 // DRAM reference model (referenceDecode) can replay any request byte-exactly
@@ -32,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/ctrl.h"
@@ -93,12 +100,10 @@ struct KvConfig {
   std::uint32_t tokenKvWords = 128;  // uint64 words per token per layer (1 KiB)
   std::uint32_t maxBatch = 8;        // concurrently decoding sequences
   std::uint32_t poolBlocks = 4096;   // flash blocks backing the paged KV
-  // KV pages in flight per sequence on both read paths: the shared-chunk
-  // landing ring holds this many pages (one when 0), and the private gather
-  // prefetches this many pages ahead (synchronous when 0) — pages, not
-  // token slots, since the gather reads each page's slots as one run. The
-  // step warm (see the decode-step diagram above) runs before either and
-  // is not bounded by this.
+  // Shared-chunk reads in flight per sequence: the landing ring holds this
+  // many pages (one when 0). It is also the floor of the private prefetch
+  // window, which the cache's fair share sizes otherwise (see the
+  // decode-step diagram above).
   std::uint32_t gatherDepth = 8;
   std::uint32_t vocab = 32000;
   bool recordAttnTrace = false;  // per-step hidden state, for tests
@@ -116,8 +121,8 @@ struct KvRequest {
   std::uint32_t maxNewTokens = 16;
   // QoS identity: this request's shared-chunk reads and tail-page batch
   // writes are attributed to this tenant for admission, WFQ, and
-  // per-tenant SLO accounting. The cache fills of the step warm and the
-  // private gather carry the host tenant.
+  // per-tenant SLO accounting. The cache fills of the private prefetch
+  // window and page reads carry the host tenant.
   qos::TenantId tenant = qos::kHostTenant;
   // Test hook: force EOS once this many tokens were generated (in addition
   // to maxNewTokens and the data-dependent EOS), so early-termination
@@ -224,7 +229,6 @@ class KvServer {
   const KvServerStats& stats() const { return stats_; }
   const std::vector<KvRequestStats>& retired() const { return retired_; }
   const KvBlockPool& pool() const { return pool_; }
-  const KvConfig& config() const { return cfg_; }
 
   // Generated tokens per virtual second over the serving interval.
   double tokensPerSec() const;
@@ -256,17 +260,26 @@ class KvServer {
     std::uint32_t promptChunks = 0;          // chunks registered in the index
     // One page per layer; AgileBuf is non-movable, so a fixed array.
     std::unique_ptr<core::AgileBuf[]> tailBufs;
-    // Shared-chunk landing ring: the layer's i-th shared read lands in page
+    // Shared-chunk landing ring: the step's i-th shared read lands in page
     // i % ringPages() through handle ringPtrs[i % ringPages()].
     std::unique_ptr<core::AgileBuf[]> ring;
     std::vector<core::AgileBufPtr> ringPtrs;
-    std::vector<std::uint32_t> sharedBlocks;  // this layer's shared chunks
-    std::vector<std::uint64_t> gatherIdx;    // scratch for the gather path
+    // A decode step's fetch plan (see decodeStep): private pages and
+    // prefix-shared blocks, each layer-major in read order, and per layer
+    // the end of its run in each list.
+    std::vector<std::uint32_t> privatePages;
+    std::vector<std::uint32_t> sharedBlocks;
+    std::vector<std::pair<std::size_t, std::size_t>> layerEnd;
+    std::vector<std::uint64_t> gatherIdx;  // one page run's slot indices
     std::vector<std::uint64_t> gatherOut;
     KvRequestStats stats;
   };
 
   std::uint32_t ringPages() const { return std::max(cfg_.gatherDepth, 1u); }
+  // One sequence's fair share of the software cache, in pages.
+  std::size_t fairShare() const {
+    return ctrl_->cache().lineCount() / cfg_.maxBatch;
+  }
   // Block b is page b of one flat KV word array; the controller's stripe
   // resolves it to a (device, LBA), exactly as the accessor resolves the
   // words gathered from it.

@@ -225,10 +225,6 @@ class CachePolicyBase {
                              gpu::KernelCtx& ctx) {
     return self().doSelectVictim(lines, ctx);
   }
-  // Whether a claimer should park on a BUSY victim (vs probing elsewhere) —
-  // the paper's §3.4 case (d) policy hook.
-  bool waitOnBusyVictim() const { return false; }
-
   static constexpr std::uint32_t npos = std::numeric_limits<std::uint32_t>::max();
 
  private:

@@ -164,7 +164,6 @@ class AgileCtrl {
   Share& shareTable() { return share_; }
   IoOpPool& tokens() { return ops_; }
   const CtrlStats& stats() const { return stats_; }
-  std::uint32_t lineBytes() const { return nvme::kLbaBytes; }
   const StripeMap& stripe() const { return cfg_.stripe; }
 
   CtrlSnapshot snapshot() const {
@@ -299,6 +298,16 @@ class AgileCtrl {
       }
     }
     co_return;
+  }
+
+  // Hand a page whose write to (dev, lba) from `buf` just completed to the
+  // software cache, so the next read of it hits HBM instead of reading it
+  // back from flash. The Share-Table demotion's single probe
+  // (demoteToCache): a no-op when the page is cached or in flight.
+  gpu::GpuTask<void> installWritten(gpu::KernelCtx& ctx, std::uint32_t dev,
+                                    std::uint64_t lba, const AgileBuf& buf,
+                                    AgileLockChain& chain) {
+    co_await demoteToCache(ctx, makeTag(dev, lba), buf, chain);
   }
 
   // Mark a shared buffer dirty (MOESI Modified, §3.4.1).
@@ -1183,7 +1192,8 @@ class AgileCtrl {
         break;
       case ShareRelease::kLastClean:
         if (!buf.barrier().failed()) {
-          co_await demoteToCache(ctx, tag, buf, chain);
+          const bool demoted = co_await demoteToCache(ctx, tag, buf, chain);
+          if (demoted) share_.noteDemotion();
         }
         break;
       case ShareRelease::kHeld:
@@ -1198,18 +1208,21 @@ class AgileCtrl {
   // suspension before the install, so no write can land between the
   // release and the copy. A page already present or in flight needs
   // nothing; an all-BUSY shard drops the demotion rather than park; a
-  // dirty victim is written back and the demotion dropped.
-  gpu::GpuTask<void> demoteToCache(gpu::KernelCtx& ctx, std::uint64_t tag,
+  // dirty victim is written back and the demotion dropped. True when the
+  // page was installed.
+  gpu::GpuTask<bool> demoteToCache(gpu::KernelCtx& ctx, std::uint64_t tag,
                                    const AgileBuf& buf, AgileLockChain& chain) {
     const ProbeResult r =
         cache_.probeOrClaim(ctx, tag, /*countLookup=*/false);
     if (r.outcome == ProbeOutcome::kClaimed) {
       ctx.charge(cache_.costs().lineCopy);
       fillLineFrom(ctx, cache_.line(r.line), buf);
-      share_.noteDemotion();
-    } else if (r.outcome == ProbeOutcome::kNeedWriteback) {
+      co_return true;
+    }
+    if (r.outcome == ProbeOutcome::kNeedWriteback) {
       co_await issueWriteback(ctx, cache_.line(r.line), chain);
     }
+    co_return false;
   }
 
   // Propagate a Modified shared buffer into the software cache (becomes a

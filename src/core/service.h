@@ -46,7 +46,6 @@ class AgileService {
   // measurement windows (sweep points, steady-state epochs).
   ServiceStats snapshot() const { return stats_; }
   void resetStats() { stats_ = {}; }
-  bool stopRequested() const { return stop_; }
   void requestStop() { stop_ = true; }
 
   // Launch configuration for the persistent service kernel.

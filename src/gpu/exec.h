@@ -62,7 +62,7 @@ struct GpuConfig {
   // SMs set aside for persistent system kernels (the AGILE service). On the
   // paper's ~100-SM part, two service warps take <1% of issue capacity; an
   // 8-SM scale-down would overstate their interference 12x, so the service
-  // gets a dedicated SM instead (see DESIGN.md §4).
+  // gets a dedicated SM instead.
   std::uint32_t reservedSms = 0;
 };
 
@@ -270,9 +270,6 @@ class Sm {
 
   std::uint32_t smId() const { return smId_; }
   std::uint32_t freeWarpSlots() const { return freeWarpSlots_; }
-  std::uint32_t freeRegs() const { return freeRegs_; }
-  std::uint32_t residentBlocks() const { return residentBlocks_; }
-  std::uint64_t freeSharedBytes() const { return freeSharedBytes_; }
 
   bool canPlace(const LaunchConfig& cfg) const;
   void acquire(const LaunchConfig& cfg);
@@ -381,7 +378,7 @@ class KernelCtx {
   // Charge a critical section that serializes across the warp (atomics/locks
   // on shared metadata): each active lane pays for every lane's turn, so the
   // warp segment cost models the serialized execution. Divergence makes this
-  // an upper bound; see DESIGN.md §4.
+  // an upper bound.
   void chargeSerialized(SimTime cycles) {
     lane_->charge(cycles * std::popcount(lane_->warp().liveMask()));
   }
@@ -393,7 +390,7 @@ class KernelCtx {
   // hashed tag spreading — ceil(liveLanes / ways) — which is optimistic
   // for shard-skewed warps (all lanes hitting one hot shard), the mirror
   // image of chargeSerialized being pessimistic under divergence; see
-  // DESIGN.md §4 and docs/ARCHITECTURE.md "Cache sharding". ways == 1
+  // docs/ARCHITECTURE.md "Cache sharding". ways == 1
   // charges exactly chargeSerialized — the unsharded baseline's cost, bit
   // for bit.
   void chargeSharded(SimTime cycles, std::uint32_t ways) {

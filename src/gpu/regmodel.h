@@ -1,5 +1,6 @@
 // Static register-pressure model (stands in for `nvcc` register allocation,
-// see DESIGN.md §1). A kernel's per-thread register count is modeled as
+// which this reproduction cannot run). A kernel's per-thread register count
+// is modeled as
 //
 //     regs = base(kernel body) + max over I/O-API paths used(path footprint)
 //

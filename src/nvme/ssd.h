@@ -103,9 +103,6 @@ class SsdController {
   // models implicitly).
   std::uint32_t createQueuePair(Sqe* sq, Cqe* cq, std::uint32_t depth);
   void destroyQueuePairs();
-  std::uint32_t queuePairCount() const {
-    return static_cast<std::uint32_t>(qps_.size());
-  }
   const QueuePair& queuePair(std::uint32_t qid) const;
 
   // Doorbell registers (devices expose these in their BAR; device code calls
@@ -116,9 +113,6 @@ class SsdController {
   // Fault injection: force media errors on a specific LBA.
   void injectFault(std::uint64_t lba) { faultLbas_.push_back(lba); }
   void clearInjectedFaults() { faultLbas_.clear(); }
-  // Seeded fault injector (null unless SsdConfig::fault.enabled).
-  const FaultInjector* faultInjector() const { return fault_.get(); }
-
   // Admin abort (NVMe Abort command, modeled as instantaneous): ask the
   // device to cancel command `cid` on queue `qid`. The result tells the
   // host-side retry tier whether the command's DMA can still happen:
@@ -140,8 +134,6 @@ class SsdController {
   std::uint64_t bytesWritten() const { return bytesWritten_; }
   std::uint64_t errorsReturned() const { return errorsReturned_; }
   std::uint64_t maxObservedOutstanding() const { return maxOutstanding_; }
-  // High-water mark of the in-flight command pool (capacity telemetry).
-  std::size_t inflightPoolSize() const { return inflight_.size(); }
   std::uint64_t droppedCompletions() const { return droppedCompletions_; }
   std::uint64_t abortsHonored() const { return abortsHonored_; }
   std::uint64_t injectedErrors() const { return injectedErrors_; }

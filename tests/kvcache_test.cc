@@ -1,11 +1,12 @@
 // Integration tests for the SSD-backed KV-cache app (src/apps/kvcache/):
 // decode-step correctness against the in-DRAM reference model (byte-exact
 // token streams and attention traces), prefix-share hit accounting through
-// the prefix index and the Share Table, per-slot refill and the wait for a
-// shared prefix chunk's write, an early EOS leaking neither cache
-// lines nor token slots nor pool blocks, and the decode loop under the
-// NVMe fault injector with the bounded retry tier (100% eventual
-// completion, deterministic rerun).
+// the prefix index and the Share Table, the decode step's fetch counts (one
+// prefetch per private page read, no read-back of a just-written page),
+// per-slot refill and the wait for a shared prefix chunk's write, an early
+// EOS leaking neither cache lines nor token slots nor pool blocks, and the
+// decode loop under the NVMe fault injector with the bounded retry tier
+// (100% eventual completion, deterministic rerun).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,9 +101,10 @@ TEST_F(KvFixture, DecodeMatchesDramReference) {
   EXPECT_EQ(server.stats().requestsRetired, 3u);
 }
 
-// The KV block layout follows the controller's stripe: the batch writes,
-// the Share-Table reads and their release, and the accessor's warm and
-// gather all resolve a block through the same map.
+// The KV block layout follows the controller's stripe: the batch writes and
+// their cache installs, the Share-Table reads and their release, and the
+// decode window's prefetches and page reads all resolve a block through the
+// same map.
 // On a 3-SSD stripe decode stays byte-exact, nothing leaks, and every SSD
 // serves reads.
 TEST_F(KvFixture, StripedLayoutSpreadsOverEverySsd) {
@@ -188,9 +190,9 @@ TEST_F(KvFixture, PrefixShareAccounting) {
 }
 
 // With a cache that holds the whole pool, every block should reach flash at
-// most once per allocation: the shared prefix chunks are read by every
-// decode step of every sequence, and their clean Share-Table pages are
-// demoted into the cache on release instead of being read again.
+// most once per allocation. The shared prefix chunks are read by every
+// decode step of every sequence, and each owner's write landed them in the
+// cache, so no Share-Table read has to go to flash at all.
 TEST_F(KvFixture, CacheCoveringPoolReadsEachBlockOnce) {
   build(/*cacheLines=*/512, /*capacityLbas=*/512);
   KvConfig cfg;
@@ -218,7 +220,7 @@ TEST_F(KvFixture, CacheCoveringPoolReadsEachBlockOnce) {
     EXPECT_EQ(st.generated, referenceDecode(cfg, reqs[st.id]).generated);
   }
   EXPECT_GT(server.stats().sharedReads, 0u);
-  EXPECT_GT(ctrl->shareTable().stats().demotions, 0u);
+  EXPECT_EQ(ctrl->stats().directReads, 0u);
   EXPECT_LE(host->ssd(0).readsCompleted(), server.stats().blocksAllocated);
   EXPECT_EQ(ctrl->shareTable().size(), 0u);
   EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
@@ -227,7 +229,10 @@ TEST_F(KvFixture, CacheCoveringPoolReadsEachBlockOnce) {
 // Decode keeps a window of shared-chunk reads in flight per sequence
 // instead of awaiting each one. Reading shared chunks one at a time, the
 // device never sees more than one read per sequence or one prefill write
-// batch (numLayers pages) at once; the ring must push it past both.
+// batch (numLayers pages) at once; the ring must push it past both. The
+// prompt's 128 pages overflow the 64-line cache, so the owner's write
+// cannot keep them all cached: the shared reads miss and go to flash, and
+// their clean pages are demoted into the cache on release.
 TEST_F(KvFixture, SharedReadsPipelinePerSequence) {
   build(/*cacheLines=*/64);
   KvConfig cfg;
@@ -236,7 +241,7 @@ TEST_F(KvFixture, SharedReadsPipelinePerSequence) {
   KvServer server(*host, *ctrl, cfg);
 
   Rng rng(91);
-  const auto prompt = makePrompt(rng, 64, cfg.vocab);  // 16 shared chunks
+  const auto prompt = makePrompt(rng, 128, cfg.vocab);  // 32 shared chunks
   std::vector<KvRequest> reqs(2);
   for (std::uint64_t id = 0; id < 2; ++id) {
     reqs[id].id = id;
@@ -252,27 +257,30 @@ TEST_F(KvFixture, SharedReadsPipelinePerSequence) {
   EXPECT_GT(server.stats().sharedReads, 0u);
   EXPECT_GT(host->ssd(0).maxObservedOutstanding(),
             std::max(cfg.numLayers, cfg.maxBatch));
+  EXPECT_GT(ctrl->shareTable().stats().demotions, 0u);
   EXPECT_EQ(ctrl->shareTable().size(), 0u);
   EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
 }
 
-// Decode warms a step's private pages up front instead of letting each
-// layer's gather find its misses one window at a time. One request with 16
-// private prompt chunks (64 pages over 4 layers) and a cache that holds
-// them all: the first decode step misses every page, and the warm must put
-// most of them in flight at once. A per-layer window alone peaks near
-// gatherDepth reads; prefill writes peak at numLayers.
-TEST_F(KvFixture, StepWarmOverlapsPrivateMisses) {
+// Decode's prefetch window runs ahead of the read cursor across layer
+// boundaries, so a step's private misses overlap instead of each layer
+// finding its misses a few pages at a time. One request with 64 private
+// prompt chunks (256 pages over 4 layers) and a 128-line cache: the pages
+// cannot all stay cached after the prefill, so the first decode step
+// misses them, and the window must put many in flight at once. A
+// per-layer window of gatherDepth pages peaks near that many reads;
+// prefill writes peak at numLayers.
+TEST_F(KvFixture, StepWindowOverlapsPrivateMisses) {
   build(/*cacheLines=*/128);
   KvConfig cfg;
-  cfg.maxBatch = 1;  // the warm's fair share is the whole cache
+  cfg.maxBatch = 1;  // the window's fair share is the whole cache
   cfg.poolBlocks = 512;
   KvServer server(*host, *ctrl, cfg);
 
   Rng rng(55);
   KvRequest req;
   req.id = 0;
-  req.prompt = makePrompt(rng, 64, cfg.vocab);
+  req.prompt = makePrompt(rng, 256, cfg.vocab);
   req.maxNewTokens = 2;
   server.enqueue(req);
   ASSERT_TRUE(server.run());
@@ -285,6 +293,63 @@ TEST_F(KvFixture, StepWarmOverlapsPrivateMisses) {
   EXPECT_GE(host->ssd(0).maxObservedOutstanding(), 32u);
   EXPECT_EQ(ctrl->cache().busyLines(), 0u);
   EXPECT_EQ(server.pool().freeBlocks(), server.pool().capacity());
+}
+
+// A decode step issues each private page to the cache once: its window
+// prefetches the page, and its page-run read then finds it. One sequence
+// whose pages the cache covers, over several steps: the prefetches never
+// outnumber the page reads. A second prefetch pass over the same pages
+// (a step warm ahead of a per-layer window) makes about two per read.
+TEST_F(KvFixture, OnePrefetchPerPrivatePageRead) {
+  build(/*cacheLines=*/128);
+  KvConfig cfg;
+  cfg.maxBatch = 1;
+  cfg.poolBlocks = 256;
+  KvServer server(*host, *ctrl, cfg);
+
+  Rng rng(63);
+  KvRequest req;
+  req.id = 0;
+  req.prompt = makePrompt(rng, 32, cfg.vocab);  // 8 chunks: 32 pages
+  req.maxNewTokens = 12;
+  server.enqueue(req);
+  ASSERT_TRUE(server.run());
+
+  ASSERT_EQ(server.retired().size(), 1u);
+  EXPECT_EQ(server.retired()[0].generated,
+            referenceDecode(cfg, req).generated);
+  EXPECT_GE(server.stats().tokensGenerated, 4u);
+  EXPECT_GT(ctrl->stats().arrayReads, 0u);
+  EXPECT_LE(ctrl->stats().prefetches, ctrl->stats().arrayReads);
+}
+
+// A page the sequence just wrote is still in its HBM tail when the write
+// completes, and lands in the cache: the next decode step finds it there
+// instead of reading it straight back from flash. A request whose pages
+// fit in the cache and that stops after one step, so the run's only reads
+// would be that step's.
+TEST_F(KvFixture, WrittenPagesAreNotReadBack) {
+  build(/*cacheLines=*/128);
+  KvConfig cfg;
+  cfg.maxBatch = 1;
+  cfg.poolBlocks = 256;
+  KvServer server(*host, *ctrl, cfg);
+
+  Rng rng(71);
+  KvRequest req;
+  req.id = 0;
+  req.prompt = makePrompt(rng, 30, cfg.vocab);  // 7 chunks + 2 tail tokens
+  req.eosAfter = 1;
+  server.enqueue(req);
+  ASSERT_TRUE(server.run());
+
+  ASSERT_EQ(server.retired().size(), 1u);
+  EXPECT_EQ(server.retired()[0].generated,
+            referenceDecode(cfg, req).generated);
+  EXPECT_EQ(server.stats().tokensGenerated, 1u);
+  EXPECT_GT(host->ssd(0).writesCompleted(), 0u);
+  EXPECT_EQ(host->ssd(0).readsCompleted(), 0u);
+  EXPECT_EQ(ctrl->cache().busyLines(), 0u);
 }
 
 // Each batch slot serves its own queue: when A hits EOS, its slot admits
@@ -366,10 +431,10 @@ TEST_F(KvFixture, SharerWaitsForOwnersPrefixWrite) {
 }
 
 // EOS fires after the first step, on a cache far smaller than the step's
-// working set, so the step's warm and gather evict and refill lines right
-// up to retirement. Nothing may outlive the request: no BUSY line, no live
-// op slot, no pinned staging page, no share entry, no pending transaction,
-// and the block pool back at its initial free count. Decode issues no
+// working set, so the step's prefetch window evicts and refills lines
+// right up to retirement. Nothing may outlive the request: no BUSY line, no
+// live op slot, no pinned staging page, no share entry, no pending
+// transaction, and the block pool back at its initial free count. Decode issues no
 // deferred (cancellable) prefetch at all.
 TEST_F(KvFixture, EarlyEosLeaksNothing) {
   build(/*cacheLines=*/8);
