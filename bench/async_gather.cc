@@ -13,11 +13,6 @@
 // fits (threads x (K+1) < lines); past that point prefetch-ahead evicts its
 // own working set and the pipeline collapses into thrash.
 //
-// Also sweeps the speculative-prefetch surface: a run where every thread
-// arms one speculative prefetch per gather and cancels half of them before
-// the deferral window closes (the branch-not-taken pattern), verifying the
-// cancel path's cost and that cancelled prefetches reach the SSD never.
-//
 // Results go to stdout and BENCH_gather.json; the per-depth engine/cache
 // stats are merged with sim::SweepStats.
 #include <cstdio>
@@ -43,7 +38,6 @@ struct RunResult {
   std::uint64_t ssdReads = 0;
   std::uint64_t cacheHits = 0;
   std::uint64_t cacheMisses = 0;
-  std::uint64_t cancelled = 0;
   std::uint64_t victimStalls = 0;
   std::uint64_t engineEvents = 0;
 };
@@ -52,7 +46,7 @@ struct RunResult {
 // `cacheLines` sizes the software cache (the main sweep uses kCacheLines,
 // the thrash leg an undersized cache); `adaptive` toggles the per-shard
 // pressure throttle on the accessor pipeline.
-RunResult runGather(std::uint32_t depth, bool speculative,
+RunResult runGather(std::uint32_t depth,
                     std::uint32_t cacheLines = kCacheLines,
                     bool adaptive = true) {
   bench::TestbedConfig tb;
@@ -90,20 +84,6 @@ RunResult runGather(std::uint32_t depth, bool speculative,
         const std::uint32_t tid = ctx.globalThreadIdx();
         const std::size_t base =
             static_cast<std::size_t>(tid) * kElemsPerThread;
-        if (speculative) {
-          // Arm a speculative prefetch for the *next* thread's first page
-          // and cancel every second one before its window closes — the
-          // branch-not-taken pattern of speculative frontier expansion.
-          const std::uint32_t peer = (tid + 1) % kThreads;
-          core::IoToken spec = co_await acc.prefetchElemSpeculative(
-              ctx, idxs[static_cast<std::size_t>(peer) * kElemsPerThread],
-              chain, /*delayNs=*/4000);
-          if ((tid & 1) != 0) {
-            (void)ctrl.cancel(ctx, spec);
-          } else {
-            (void)co_await ctrl.wait(ctx, spec);
-          }
-        }
         co_await acc.gather(
             ctx, std::span<const std::uint64_t>(&idxs[base], kElemsPerThread),
             std::span<std::uint64_t>(&out[base], kElemsPerThread), chain,
@@ -117,7 +97,6 @@ RunResult runGather(std::uint32_t depth, bool speculative,
   r.ssdReads = host->ssd(0).readsCompleted();
   r.cacheHits = ctrl.cache().stats().hits;
   r.cacheMisses = ctrl.cache().stats().misses;
-  r.cancelled = ctrl.stats().prefetchCancelled;
   r.victimStalls = ctrl.cache().stats().victimStalls;
   r.engineEvents = host->engine().executedEvents();
   host->stopAgile();
@@ -146,7 +125,7 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results(depths.size());
   sim::SweepStats stats(depths.size());
   for (std::size_t i = 0; i < depths.size(); ++i) {
-    results[i] = runGather(depths[i], /*speculative=*/false);
+    results[i] = runGather(depths[i]);
     stats.record(i, "ssd.reads", results[i].ssdReads);
     stats.record(i, "cache.hits", results[i].cacheHits);
     stats.record(i, "cache.misses", results[i].cacheMisses);
@@ -183,11 +162,9 @@ int main(int argc, char** argv) {
   const std::uint32_t thrashDepth = 16;
   const std::uint32_t thrashLines = 48;  // 16 threads x 17 in flight vs 48
   const RunResult thrashFixed =
-      runGather(thrashDepth, /*speculative=*/false, thrashLines,
-                /*adaptive=*/false);
+      runGather(thrashDepth, thrashLines, /*adaptive=*/false);
   const RunResult thrashAdaptive =
-      runGather(thrashDepth, /*speculative=*/false, thrashLines,
-                /*adaptive=*/true);
+      runGather(thrashDepth, thrashLines, /*adaptive=*/true);
   const double thrashGain =
       bench::toMs(thrashFixed.ns) / bench::toMs(thrashAdaptive.ns);
   std::printf("thrash leg (%u lines, depth %u): fixed %.3f ms, adaptive "
@@ -196,14 +173,6 @@ int main(int argc, char** argv) {
               bench::toMs(thrashAdaptive.ns), thrashGain,
               static_cast<unsigned long long>(thrashFixed.victimStalls),
               static_cast<unsigned long long>(thrashAdaptive.victimStalls));
-
-  // Speculative-cancel leg: half the armed prefetches are cancelled inside
-  // the deferral window; they must never reach the SSD.
-  const RunResult spec = runGather(quick ? 4 : 8, /*speculative=*/true);
-  std::printf("speculative leg: %llu prefetches cancelled before any SSD "
-              "read (time %.3f ms)\n",
-              static_cast<unsigned long long>(spec.cancelled),
-              bench::toMs(spec.ns));
 
   std::fputs(stats.render("async_gather").c_str(), stdout);
 
@@ -223,9 +192,7 @@ int main(int argc, char** argv) {
         i + 1 < depths.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"best_speedup\": %.3f,\n", best);
-  std::fprintf(f, "  \"thrash_adaptive_speedup\": %.3f,\n", thrashGain);
-  std::fprintf(f, "  \"speculative_cancelled\": %llu\n}\n",
-               static_cast<unsigned long long>(spec.cancelled));
+  std::fprintf(f, "  \"thrash_adaptive_speedup\": %.3f\n}\n", thrashGain);
   std::fclose(f);
   std::printf("wrote BENCH_gather.json\n");
   return 0;

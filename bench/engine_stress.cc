@@ -318,9 +318,10 @@ std::uint64_t timerCancel(E& eng, std::uint64_t rounds, std::uint64_t window,
 // independent request chains; each round schedules a "device latency" timer
 // whose completion wakes a consumer parked on a WaitList (the barrier-wake
 // path), and every other round arms a speculative timer that is cancelled
-// two rounds later — the submitPrefetch/cancel window. Cancel verdicts and
-// stray speculative fires fold into the hash, so both engines must agree on
-// exactly which speculations survived.
+// two rounds later — a timeout armed and then disarmed, like the I/O
+// watchdog a completion cancels. Cancel verdicts and stray speculative fires
+// fold into the hash, so both engines must agree on exactly which
+// speculations survived.
 template <class E, class WL>
 std::uint64_t asyncPipeline(E& eng, std::uint64_t rounds,
                             std::uint64_t chains, std::uint64_t* hash) {

@@ -118,7 +118,8 @@ StormResult runStorm(const StormConfig& sc, bool quick) {
                 writeBase + static_cast<std::uint64_t>(tid) * opsPerThread +
                 op;
             co_await ctrl.asyncWrite(ctx, 0, lba, ptr, chain);
-            if (co_await ctrl.waitBuf(ctx, ptr)) {
+            const bool written = co_await ctrl.waitBuf(ctx, ptr);
+            if (written) {
               ++completed;
             } else {
               ++failed;

@@ -27,8 +27,8 @@ constexpr std::uint32_t kSpmvBase = 40;
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --all additionally prints the token/batch/gather paths of the async API
-  // redesign; the default output is the paper's figure, byte-stable.
+  // --all additionally prints the batch-submit and gather paths of the
+  // async API; the default output is the paper's figure, byte-stable.
   bool all = false;
   for (int i = 1; i < argc; ++i) all |= std::strcmp(argv[i], "--all") == 0;
 
@@ -79,11 +79,9 @@ int main(int argc, char** argv) {
               gpu::serviceKernelRegisters());
 
   if (all) {
-    // Footprints of the unified async surface (no paper counterpart —
+    // Footprints of the async surface (no paper counterpart —
     // audited from core/ctrl.h like the original rows).
     const gpu::IoApiPath extra[] = {
-        gpu::IoApiPath::kAgileTokenRead,
-        gpu::IoApiPath::kAgileTokenPrefetch,
         gpu::IoApiPath::kAgileBatchSubmit,
         gpu::IoApiPath::kAgileGatherPipelined,
     };

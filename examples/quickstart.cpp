@@ -2,9 +2,8 @@
 // configure a host, add NVMe devices, initialize queues in (simulated) HBM,
 // start the service kernel, and use all three device-side access methods
 // from a GPU kernel: prefetch, async_issue with a user buffer, and the
-// array-like synchronous view — plus the unified token surface: a batched
-// submit covered by one SQ doorbell, a poll/wait pipeline on IoTokens, and
-// a speculative prefetch cancelled before it ever reaches the SSD. Build
+// array-like synchronous view — plus the batch token: a batched submit
+// covered by one SQ doorbell, polled and awaited through its IoToken. Build
 // target: examples/quickstart.
 #include <cstdio>
 
@@ -43,13 +42,14 @@ int main() {
   // Device buffers for the async_issue and token paths.
   auto* bufMem = host.gpu().hbm().allocBytes(nvme::kLbaBytes);
   core::AgileBuf buf(bufMem);
+  auto* wrMem = host.gpu().hbm().allocBytes(nvme::kLbaBytes);
+  core::AgileBuf wrBuf(wrMem);
   auto* tokMem = host.gpu().hbm().allocBytes(nvme::kLbaBytes);
   core::AgileBuf tokBuf(tokMem);
 
   std::uint64_t viaArray = 0, viaBuffer = 0, viaPrefetch = 0;
-  std::uint64_t viaBatch = 0;
+  std::uint64_t viaWrite = 0, viaBatch = 0;
   std::uint64_t pollSpins = 0;
-  bool specCancelled = false;
 
   // --- device-side kernel (Listing 1 lines 3-20) ---
   const bool ok = host.runKernel(
@@ -70,6 +70,17 @@ int main() {
           AGILE_CHECK(ready);
           viaBuffer = ptr.as<std::uint64_t>()[2];
 
+          // ...and async_issue from a user buffer. The payload is staged,
+          // so the buffer is reusable at once; buf.wait() reports the
+          // SSD write, after which the page reads back through the cache.
+          core::AgileBufPtr wrPtr(wrBuf);
+          wrPtr.as<std::uint64_t>()[0] = 5150;
+          co_await ctrl.asyncWrite(ctx, 0, /*lba=*/10, wrPtr, chain);
+          const bool written = co_await ctrl.waitBuf(ctx, wrPtr);
+          AGILE_CHECK(written);
+          viaWrite = co_await ctrl.arrayRead<std::uint64_t>(ctx, 10 * 512,
+                                                            chain);
+
           // Method 3: array-like synchronous view of the SSD.
           viaArray = co_await ctrl.arrayRead<std::uint64_t>(
               ctx, 7 * 512 + 3, chain);
@@ -78,7 +89,7 @@ int main() {
           co_await ctrl.arrayWrite<std::uint64_t>(ctx, 7 * 512 + 4,
                                                   4242, chain);
 
-          // Method 4: the unified token surface. A batch submits N
+          // The batch token (beyond Listing 1). A batch submits N
           // descriptors with one resolve pass and a single SQ doorbell;
           // the returned IoToken is polled (non-blocking) and awaited.
           core::AgileBufPtr tokPtr(tokBuf);
@@ -90,15 +101,9 @@ int main() {
             ++pollSpins;  // overlap window: compute would go here
             co_await ctx.backoff(2000);
           }
-          AGILE_CHECK(co_await ctrl.wait(ctx, bt));
+          const bool batchOk = co_await ctrl.wait(ctx, bt);
+          AGILE_CHECK(batchOk);
           viaBatch = tokPtr.as<std::uint64_t>()[0];
-
-          // Speculative prefetch: the SSD command is deferred on the timer
-          // wheel; cancelling inside the window costs O(1) and issues no
-          // SSD read at all (the claimed cache line is released too).
-          core::IoToken spec = co_await ctrl.submitPrefetch(
-              ctx, 0, /*lba=*/99, chain, /*speculativeDelayNs=*/50000);
-          specCancelled = ctrl.cancel(ctx, spec);
         }
         co_return;
       });
@@ -111,21 +116,20 @@ int main() {
               (unsigned long long)viaPrefetch);
   std::printf("asyncRead buffer    : %llu (expect 1002)\n",
               (unsigned long long)viaBuffer);
+  std::printf("asyncWrite readback : %llu (expect 5150)\n",
+              (unsigned long long)viaWrite);
   std::printf("array read          : %llu (expect 1003)\n",
               (unsigned long long)viaArray);
   std::printf("batch token read    : %llu (expect 2000, %llu poll spins)\n",
               (unsigned long long)viaBatch, (unsigned long long)pollSpins);
-  std::printf("speculative cancel  : %s (no SSD read issued)\n",
-              specCancelled ? "ok" : "FAILED");
   std::printf("cache hits=%llu misses=%llu, SSD reads=%llu, "
-              "batch doorbells=%llu, cancelled prefetches=%llu\n",
+              "batch doorbells=%llu\n",
               (unsigned long long)ctrl.cache().stats().hits,
               (unsigned long long)ctrl.cache().stats().misses,
               (unsigned long long)host.ssd(0).readsCompleted(),
-              (unsigned long long)ctrl.stats().batchDoorbells,
-              (unsigned long long)ctrl.stats().prefetchCancelled);
+              (unsigned long long)ctrl.stats().batchDoorbells);
   const bool pass = viaPrefetch == 1001 && viaBuffer == 1002 &&
-                    viaArray == 1003 && viaBatch == 2000 && specCancelled;
+                    viaWrite == 5150 && viaArray == 1003 && viaBatch == 2000;
   std::printf("%s\n", pass ? "QUICKSTART OK" : "QUICKSTART FAILED");
   return pass ? 0 : 1;
 }

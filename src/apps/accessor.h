@@ -2,9 +2,8 @@
 // kernel (BFS, SpMV, vector-mean, DLRM gather) run unchanged over
 //   - NativeAccessor : data resident in HBM (the "Kernel time" baseline of
 //                      the §4.5 three-step methodology),
-//   - AgileAccessor  : AGILE's synchronous array API plus the asynchronous
-//                      token surface (gather / prefetch-ahead /
-//                      speculative prefetch),
+//   - AgileAccessor  : AGILE's synchronous array API plus divergence-safe
+//                      prefetch and the depth-K prefetch-ahead gather,
 //   - BamAccessor    : BaM's synchronous reads.
 // This mirrors how the paper swaps the underlying I/O library while keeping
 // kernels identical for fair API-overhead comparison. Kernels detect the
@@ -17,10 +16,8 @@
 
 #include "bam/bam_ctrl.h"
 #include "core/ctrl.h"
-#include "core/io_token.h"
 #include "core/lock.h"
 #include "gpu/exec.h"
-#include "gpu/regmodel.h"
 
 namespace agile::apps {
 
@@ -62,14 +59,12 @@ class NativeAccessor {
     co_return data_[idx];
   }
 
-  static constexpr gpu::IoApiPath kRegPath = gpu::IoApiPath::kNone;
-
  private:
   std::span<const T> data_;
 };
 
 // AGILE array view over the controller's stripe group: synchronous reads
-// plus the asynchronous token surface. Every element->(device, page)
+// plus prefetch-ahead. Every element->(device, page)
 // resolution goes through core::elemAddr over ctrl.stripe(), the map the
 // controller's own array API uses, so the sync and async paths cannot drift
 // and the same kernel spreads over N devices unchanged.
@@ -89,17 +84,6 @@ class AgileAccessor {
                                            core::AgileLockChain& chain) {
     const auto at = addr(idx);
     co_await ctrl_->prefetchDivergent(ctx, at.dev, at.lba, chain);
-  }
-
-  // Speculative prefetch with a cancellation window: the SSD command is
-  // deferred `delayNs` on the timer wheel; the controller's cancel(ctx,
-  // token) aborts it with no SSD traffic while the window is open.
-  gpu::GpuTask<core::IoToken> prefetchElemSpeculative(
-      gpu::KernelCtx& ctx, std::uint64_t idx, core::AgileLockChain& chain,
-      SimTime delayNs) {
-    const auto at = addr(idx);
-    co_return co_await ctrl_->submitPrefetch(ctx, at.dev, at.lba, chain,
-                                             delayNs);
   }
 
   // Pressure threshold of the adaptive pipeline: stop extending the
@@ -167,8 +151,6 @@ class AgileAccessor {
     }
   }
 
-  static constexpr gpu::IoApiPath kRegPath = gpu::IoApiPath::kAgileArrayRead;
-
  private:
   core::ElemAddr addr(std::uint64_t idx) const {
     return core::elemAddr<T>(idx, ctrl_->stripe());
@@ -200,8 +182,6 @@ class BamAccessor {
                        core::AgileLockChain& chain) {
     co_return co_await bam_->template readElem<T>(ctx, idx, chain);
   }
-
-  static constexpr gpu::IoApiPath kRegPath = gpu::IoApiPath::kBamSyncRead;
 
  private:
   Bam* bam_;

@@ -169,7 +169,6 @@ struct CacheStats {
   std::uint64_t evictions = 0;
   std::uint64_t writebacks = 0;
   std::uint64_t victimStalls = 0;
-  std::uint64_t cancelledClaims = 0;  // speculative prefetches aborted
 };
 
 // Per-operation charge profile. AGILE and the BaM baseline share the cache
@@ -467,7 +466,6 @@ class SoftwareCache {
       out.evictions += sh.stats.evictions;
       out.writebacks += sh.stats.writebacks;
       out.victimStalls += sh.stats.victimStalls;
-      out.cancelledClaims += sh.stats.cancelledClaims;
     }
     return out;
   }
@@ -486,7 +484,7 @@ class SoftwareCache {
   // lookup); the evictions, writebacks and stalls it causes still count.
   AGILE_NODISCARD(
       "a kClaimed result hands the caller a BUSY line it must fill and "
-      "release (or releaseClaim); dropping it wedges the line")
+      "release; dropping it wedges the line")
   ProbeResult probeOrClaim(gpu::KernelCtx& ctx, std::uint64_t tag,
                            bool countLookup = true) {
     const std::uint32_t si = shardOfTag(tag);
@@ -602,27 +600,6 @@ class SoftwareCache {
     const Shard& sh = shards_[shardOfTag(tag)];
     auto it = sh.map.find(tag);
     return it == sh.map.end() ? Policy::npos : it->second;
-  }
-
-  // Abort a claim before its fill was issued (speculative-prefetch cancel):
-  // the line returns to INVALID, the mapping is dropped, and anything parked
-  // on the line retries. The caller guarantees no SSD command references the
-  // line and no buffer waiter is attached.
-  void releaseClaim(sim::Engine& engine, std::uint32_t lineIdx) {
-    CacheLine& l = lines_[lineIdx];
-    Shard& sh = shards_[lineShard_[lineIdx]];
-    AGILE_CHECK_MSG(l.state == LineState::kBusy && !l.evicting,
-                    "releaseClaim on a line that is not a pending fill");
-    AGILE_CHECK_MSG(l.bufWaitHead == nullptr,
-                    "releaseClaim with buffer waiters attached");
-    auto it = sh.map.find(l.tag);
-    if (it != sh.map.end() && it->second == lineIdx) sh.map.erase(it);
-    l.tag = kNoTag;
-    l.clearBusy(LineState::kInvalid);
-    ++sh.stats.cancelledClaims;
-    l.readyWaiters.notifyAll(engine);
-    l.freedWaiters.notifyAll(engine);
-    sh.stallWaiters.notifyOne(engine);
   }
 
   // Threads stalled on an all-BUSY shard park here (event-driven instead of

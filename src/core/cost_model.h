@@ -42,7 +42,6 @@ inline constexpr SimTime kBufAttach = 16;     // append to a line's buf list
 // --- AGILE token / batch surface ---
 inline constexpr SimTime kTokenAlloc = 14;     // pool slot + generation stamp
 inline constexpr SimTime kTokenPoll = 8;       // status load + gen compare
-inline constexpr SimTime kTokenCancel = 18;    // timer cancel + line release
 inline constexpr SimTime kBatchEntryScan = 6;  // per-descriptor resolve step
 
 // --- AGILE share table ---

@@ -1,19 +1,16 @@
 // AgileCtrl — the device-side API surface of AGILE (§3.5, Listing 1).
 //
-// The unified asynchronous surface is token-based: submitRead / submitWrite
-// / submitPrefetch / submitBatch return a generation-checked IoToken
-// (core/io_token.h) supporting poll(), co_await wait(), and cancel() —
-// cancel aborts a *speculative* prefetch whose deferred SSD issue is still
-// parked on the engine's timer wheel (O(1) Engine::cancel), releasing the
-// claimed cache line without any NVMe traffic. IoBatch submits N descriptors
-// with one warp-coalesced pass and a single SQ doorbell per target SSD.
-//
-// The paper's Listing-1 calls are thin shims over the same implementation:
+// The paper's Listing-1 calls:
 //   Method-1  prefetch(dev, lba, chain)           — fill the software cache
 //   Method-2  asyncRead / asyncWrite(dev, lba, buf, chain)  — async_issue
 //             with user-specified buffers; buf.wait() via waitBuf()
 //   Method-3  arrayRead / arrayWrite / arrayReadOrFill(idx) — array view of
 //             the SSDs; each element resolves through cfg.stripe
+//
+// Beyond Listing 1, submitBatch submits N descriptors (reads, writes, cache
+// prefetches) with one warp-coalesced resolve pass and a single SQ doorbell
+// per target SSD, and returns a generation-checked IoToken
+// (core/io_token.h) that supports poll() and co_await wait().
 //
 // Template parameters select the software-cache replacement policy and the
 // Share Table policy at compile time (the paper's CRTP customization). All
@@ -96,11 +93,9 @@ struct CtrlStats {
   std::uint64_t arrayReads = 0;
   std::uint64_t directReads = 0;  // SSD -> user buffer, bypassing the cache
   std::uint64_t prefetchDropped = 0;
-  // --- token / batch surface ---
-  std::uint64_t tokenSubmits = 0;           // token-returning submits
-  std::uint64_t speculativePrefetches = 0;  // deferred-issue prefetches armed
-  std::uint64_t prefetchCancelled = 0;      // cancelled before any SSD read
-  std::uint64_t deferredIssues = 0;         // speculative fills that fired
+  // --- batch token surface ---
+  std::uint64_t speculativePrefetches = 0;  // always 0; perfbench reads it
+  std::uint64_t prefetchCancelled = 0;      // always 0; perfbench reads it
   std::uint64_t batchSubmits = 0;
   std::uint64_t batchRequests = 0;   // descriptors across all batches
   std::uint64_t batchDoorbells = 0;  // doorbell writes covering batch runs
@@ -159,7 +154,6 @@ class AgileCtrl {
     AGILE_CHECK_MSG(host.nvmeReady(), "AgileCtrl requires initNvme()");
   }
 
-  AgileHost& host() { return *host_; }
   Cache& cache() { return cache_; }
   Share& shareTable() { return share_; }
   IoOpPool& tokens() { return ops_; }
@@ -212,8 +206,8 @@ class AgileCtrl {
 
   // async_issue(src=SSD, dst=user buffer). Never blocks on the cache: a miss
   // goes SSD -> buffer directly (no line lock is held, §3.1), a BUSY line
-  // appends the buffer to the line's waiter list (§3.4 case (c)). Thin shim
-  // over the token surface's resolve step, minus the token bookkeeping.
+  // appends the buffer to the line's waiter list (§3.4 case (c)). Shares its
+  // resolve step with submitBatch's read entries.
   gpu::GpuTask<void> asyncRead(gpu::KernelCtx& ctx, std::uint32_t dev,
                                std::uint64_t lba, AgileBufPtr& buf,
                                AgileLockChain& chain,
@@ -427,96 +421,6 @@ class AgileCtrl {
 
   // ------------------------------------- unified async surface (tokens) ----
 
-  // async_issue(SSD -> user buffer) returning a pollable / awaitable handle.
-  AGILE_NODISCARD("the token is the only poll/wait/cancel handle")
-  gpu::GpuTask<IoToken> submitRead(gpu::KernelCtx& ctx, std::uint32_t dev,
-                                   std::uint64_t lba, AgileBufPtr& buf,
-                                   AgileLockChain& chain,
-                                   qos::TenantId tenant = qos::kHostTenant) {
-    ctx.charge(cost::kTokenAlloc);
-    const IoToken t = ops_.alloc(IoOpKind::kRead);
-    ++stats_.tokenSubmits;
-    co_await asyncRead(ctx, dev, lba, buf, chain, tenant);
-    // Bind the tracked barrier after the resolve: a Share-Table hit
-    // redirects the pointer at a peer's buffer, whose barrier covers the
-    // in-flight fill.
-    ops_.get(t)->barrier = &buf.active()->barrier();
-    co_return t;
-  }
-
-  // async_issue(user buffer -> SSD) returning a handle.
-  AGILE_NODISCARD("the token is the only poll/wait/cancel handle")
-  gpu::GpuTask<IoToken> submitWrite(gpu::KernelCtx& ctx, std::uint32_t dev,
-                                    std::uint64_t lba, AgileBufPtr& buf,
-                                    AgileLockChain& chain,
-                                    qos::TenantId tenant = qos::kHostTenant) {
-    ctx.charge(cost::kTokenAlloc);
-    const IoToken t = ops_.alloc(IoOpKind::kWrite);
-    ++stats_.tokenSubmits;
-    ops_.get(t)->barrier = &buf.own()->barrier();
-    co_await asyncWrite(ctx, dev, lba, buf, chain, tenant);
-    co_return t;
-  }
-
-  // Cache prefetch returning a handle. With speculativeDelayNs > 0 the cache
-  // line is claimed now but the SSD command is *deferred* on the engine's
-  // timer wheel: until the timer fires, cancel() aborts the prefetch in O(1)
-  // — no SSD read is issued and the claimed line is released. Demand that
-  // arrives meanwhile (readers parked on the BUSY line, attached buffers)
-  // rides the eventual fill exactly like a normal prefetch, and makes the
-  // op non-cancellable.
-  AGILE_NODISCARD("the token is the only poll/wait/cancel handle")
-  gpu::GpuTask<IoToken> submitPrefetch(gpu::KernelCtx& ctx, std::uint32_t dev,
-                                       std::uint64_t lba,
-                                       AgileLockChain& chain,
-                                       SimTime speculativeDelayNs = 0,
-                                       qos::TenantId tenant = qos::kHostTenant) {
-    ctx.charge(cost::kTokenAlloc);
-    const IoToken t = ops_.alloc(IoOpKind::kPrefetch);
-    ++stats_.tokenSubmits;
-    ++stats_.prefetches;
-    {
-      IoOp* op = ops_.get(t);
-      op->dev = dev;
-      op->lba = lba;
-    }
-    const std::uint64_t tag = makeTag(dev, lba);
-    std::uint32_t line = 0;
-    switch (co_await claimLine(ctx, tag, chain, kPrefetchClaimBudget, &line)) {
-      case ClaimResult::kHit:
-      case ClaimResult::kBusy:
-        // Already present or in flight: nothing to do, nothing to cancel.
-        ops_.finish(*ops_.get(t), IoStatus::kDone, host_->engine());
-        co_return t;
-      case ClaimResult::kClaimed: {
-        IoOp* op = ops_.get(t);
-        op->line = line;
-        op->pendingFills = 1;
-        noteLineOwner(cache_.line(line), tenant);
-        if (speculativeDelayNs == 0) {
-          co_await issueFill(ctx, dev, lba, cache_.line(line), chain,
-                             ops_.ref(t), tenant);
-          co_return t;
-        }
-        ++stats_.speculativePrefetches;
-        // The pump captures the claim itself (not just the token): the
-        // fill must fire even if the token is retired early — only
-        // cancel(), which kills this timer first, may abandon the line.
-        const std::uint32_t slot = ops_.slotOf(t);
-        const std::uint64_t gen = ops_.genOf(t);
-        op->timer = host_->engine().scheduleAfter(
-            speculativeDelayNs, [this, line, dev, lba, slot, gen, tenant] {
-              pumpDeferred(line, dev, lba, slot, gen, tenant);
-            });
-        co_return t;
-      }
-      case ClaimResult::kExhausted:
-        ops_.finish(*ops_.get(t), IoStatus::kFailed, host_->engine());
-        co_return t;
-    }
-    co_return t;  // unreachable
-  }
-
   // Submit a descriptor batch: one coalesced resolve pass over the entries,
   // then every command that must reach an SSD is placed on a single SQ and
   // covered by one doorbell write per target device (§3.3 batching). The
@@ -524,12 +428,11 @@ class AgileCtrl {
   // batches are identical elect a leader for the prefetch portion; demand
   // entries (reads/writes) always run, their duplicates are absorbed by the
   // Share Table and the cache's BUSY state.
-  AGILE_NODISCARD("the token is the only poll/wait/cancel handle")
+  AGILE_NODISCARD("the token is the only poll/wait handle")
   gpu::GpuTask<IoToken> submitBatch(gpu::KernelCtx& ctx, IoBatch& batch,
                                     AgileLockChain& chain) {
     ctx.charge(cost::kTokenAlloc);
     const IoToken t = ops_.alloc(IoOpKind::kBatch);
-    ++stats_.tokenSubmits;
     ++stats_.batchSubmits;
     stats_.batchRequests += batch.size();
     ops_.get(t)->batch = &batch;
@@ -601,113 +504,45 @@ class AgileCtrl {
     co_return t;
   }
 
-  // Non-blocking token status. Stale tokens (already observed terminal and
-  // recycled) report kRetired.
+  // Non-blocking batch-token status. Stale tokens (already observed terminal
+  // and recycled) report kRetired.
   IoStatus poll(gpu::KernelCtx& ctx, const IoToken& t) {
     ctx.charge(cost::kTokenPoll);
     IoOp* op = ops_.get(t);
     if (op == nullptr) return IoStatus::kRetired;
-    switch (op->kind) {
-      case IoOpKind::kRead:
-      case IoOpKind::kWrite:
-        if (!op->barrier->ready()) return IoStatus::kPending;
-        return op->barrier->failed() ? IoStatus::kFailed : IoStatus::kDone;
-      case IoOpKind::kPrefetch:
-        return op->status;
-      case IoOpKind::kBatch:
-        if (op->pendingFills > 0 || !op->batch->buffersReady()) {
-          return IoStatus::kPending;
-        }
-        return (op->sawError || op->batch->anyBufferFailed())
-                   ? IoStatus::kFailed
-                   : IoStatus::kDone;
-      default:
-        return IoStatus::kRetired;
+    if (op->pendingFills > 0 || !op->batch->buffersReady()) {
+      return IoStatus::kPending;
     }
+    return (op->sawError || op->batch->anyBufferFailed()) ? IoStatus::kFailed
+                                                          : IoStatus::kDone;
   }
 
-  // Block (event-driven) until the op reaches a terminal state; true iff it
-  // completed without NVMe errors. Observing the terminal state retires the
-  // token: its slot recycles and later poll()s report kRetired.
+  // Block (event-driven) until every entry of the batch is terminal; true
+  // iff all completed without NVMe errors. Observing the terminal state
+  // retires the token: its slot recycles and later poll()s report kRetired.
   gpu::GpuTask<bool> wait(gpu::KernelCtx& ctx, IoToken t) {
     for (;;) {
       ctx.charge(cost::kBarrierCheck);
       IoOp* op = ops_.get(t);
       if (op == nullptr) co_return true;  // observed elsewhere already
-      switch (op->kind) {
-        case IoOpKind::kRead:
-        case IoOpKind::kWrite: {
-          const bool ok = co_await barrierWait(ctx, *op->barrier);
-          ops_.retire(t);
-          co_return ok;
+      IoBatch* batch = op->batch;
+      for (std::uint32_t i = 0; i < batch->size(); ++i) {
+        const IoBatch::Entry& e = batch->entry(i);
+        if (e.buf != nullptr && e.buf->active() != nullptr) {
+          (void)co_await barrierWait(ctx, e.buf->active()->barrier());
         }
-        case IoOpKind::kPrefetch: {
-          if (op->status == IoStatus::kPending) {
-            co_await ctx.parkOn(op->waiters);
-            continue;  // re-resolve: the op may have been cancelled+retired
-          }
-          const bool ok = op->status == IoStatus::kDone;
-          ops_.retire(t);
-          co_return ok;
-        }
-        case IoOpKind::kBatch: {
-          IoBatch* batch = op->batch;
-          for (std::uint32_t i = 0; i < batch->size(); ++i) {
-            const IoBatch::Entry& e = batch->entry(i);
-            if (e.buf != nullptr && e.buf->active() != nullptr) {
-              (void)co_await barrierWait(ctx, e.buf->active()->barrier());
-            }
-          }
-          op = ops_.get(t);
-          if (op == nullptr) co_return true;
-          if (op->pendingFills > 0) {
-            co_await ctx.parkOn(op->waiters);
-            continue;
-          }
-          const bool ok = !op->sawError && !batch->anyBufferFailed();
-          ops_.retire(t);
-          co_return ok;
-        }
-        default:
-          ops_.retire(t);
-          co_return true;
       }
+      op = ops_.get(t);
+      if (op == nullptr) co_return true;
+      if (op->pendingFills > 0) {
+        co_await ctx.parkOn(op->waiters);
+        continue;
+      }
+      const bool ok = !op->sawError && !batch->anyBufferFailed();
+      ops_.retire(t);
+      co_return ok;
     }
   }
-
-  // Abort a speculative prefetch whose deferred SSD issue has not fired yet.
-  // Returns true iff the op was cancelled: the timer is removed from the
-  // wheel (O(1)), the claimed cache line is released, no SSD command is ever
-  // issued, and the token is retired. Returns false when the op is not a
-  // speculative prefetch, already issued/completed, or demand (parked
-  // readers / attached buffers) is riding the pending fill.
-  bool cancel(gpu::KernelCtx& ctx, const IoToken& t) {
-    ctx.charge(cost::kTokenCancel);
-    IoOp* op = ops_.get(t);
-    if (op == nullptr) return false;
-    if (op->kind != IoOpKind::kPrefetch ||
-        op->status != IoStatus::kPending || !op->timer) {
-      return false;
-    }
-    CacheLine& l = cache_.line(op->line);
-    if (l.bufWaitHead != nullptr || !l.readyWaiters.empty()) {
-      return false;  // demand attached: no longer speculative
-    }
-    if (!host_->engine().cancel(op->timer)) return false;  // already firing
-    noteLineOwner(l, qos::kNoTenant);
-    cache_.releaseClaim(host_->engine(), op->line);
-    ++stats_.prefetchCancelled;
-    // Parked wait()ers must observe kCancelled (and report failure) before
-    // the slot recycles; with no waiters the cancel is the observation.
-    const bool hasWaiters = !op->waiters.empty();
-    ops_.finish(*op, IoStatus::kCancelled, host_->engine());
-    if (!hasWaiters) ops_.retire(t);
-    return true;
-  }
-
-  // Drop a token without waiting (recycles the op slot; in-flight I/O is
-  // unaffected and still lands normally).
-  void retire(const IoToken& t) { ops_.retire(t); }
 
  private:
   // Bounded claim-and-fill behind prefetch, prefetchDivergent and the
@@ -718,8 +553,9 @@ class AgileCtrl {
                                             std::uint64_t lba,
                                             AgileLockChain& chain) {
     std::uint32_t line = 0;
-    switch (co_await claimLine(ctx, makeTag(dev, lba), chain,
-                               kPrefetchClaimBudget, &line)) {
+    const ClaimResult r = co_await claimLine(ctx, makeTag(dev, lba), chain,
+                                             kPrefetchClaimBudget, &line);
+    switch (r) {
       case ClaimResult::kHit:
         co_return line;
       case ClaimResult::kBusy:       // already in flight (second level)
@@ -734,10 +570,9 @@ class AgileCtrl {
 
   gpu::GpuTask<void> issueFill(gpu::KernelCtx& ctx, std::uint32_t dev,
                                std::uint64_t lba, CacheLine& line,
-                               AgileLockChain& chain, IoOpRef opRef = {},
-                               qos::TenantId tenant = qos::kHostTenant) {
-    noteLineOwner(line, tenant);
-    const PendingCmd fill = fillCmd(dev, lba, line, opRef, tenant);
+                               AgileLockChain& chain) {
+    noteLineOwner(line, qos::kHostTenant);
+    const PendingCmd fill = fillCmd(dev, lba, line, {}, qos::kHostTenant);
     // Fills stay shard-local: the line's home shard selects its affine QP
     // slice on the target device (no-op at one shard).
     co_await issueToSsd(ctx, dev, fill.cmd, fill.txn, chain,
@@ -829,7 +664,7 @@ class AgileCtrl {
   };
 
   // The probe/claim retry state machine shared by every prefetch-flavor
-  // path (fillCacheLine, submitPrefetch, batch fills): handles dirty-victim
+  // path (fillCacheLine, batch prefetch entries): handles dirty-victim
   // writebacks and all-BUSY stalls with awaits between attempts. Unlike
   // demandLine it returns on a BUSY line (the fill in flight serves the
   // prefetch) and hands a stall admission it did not use on. A spent budget
@@ -1133,41 +968,6 @@ class AgileCtrl {
     }
   }
 
-  // Deferred speculative-prefetch issue: runs as an engine event when the
-  // cancellation window closes. The claimed line and target page ride the
-  // capture, so the fill fires even for an early-retired token; the IoOpRef
-  // is generation-checked, so token notification is a no-op in that case.
-  // A cancelled op never reaches here (cancel kills the timer first).
-  void pumpDeferred(std::uint32_t lineIdx, std::uint32_t dev,
-                    std::uint64_t lba, std::uint32_t slot,
-                    std::uint64_t gen, qos::TenantId tenant) {
-    PendingCmd fill = fillCmd(dev, lba, cache_.line(lineIdx),
-                              IoOpRef{&ops_, slot, gen}, tenant);
-    fill.txn.submitNs = host_->engine().now();
-    // Speculative fills are host-pumped engine events: they cannot park on
-    // admission, so they bypass the token bucket (the cancellation window
-    // already bounds speculation) but still pay WFQ virtual time below.
-    // They rotate over the whole device from a shared cursor.
-    QueuePairSet& qps = host_->queuePairs();
-    const QpSlice all = qps.slice(dev);
-    const SimTime now = host_->engine().now();
-    const SlotGrant g = qps.acquireSlot(all, deferredSqCursor_, now);
-    if (g) {
-      deferredSqCursor_ = (g.index + 1) % all.count;
-      ++stats_.deferredIssues;
-      if (qos::QosManager* q = host_->qosManager()) {
-        q->onGrant(tenant, nvme::kLbaBytes);
-      }
-      writeAndRing(*g.sq, &g.slot, &fill.cmd, &fill.txn, 1);
-      return;
-    }
-    // Every queue of this SSD is full: re-pump when one frees an entry.
-    AgileSq& sq = *qps.sqs[all.first + deferredSqCursor_ % all.count];
-    slotWaiters(sq, tenant).park([this, lineIdx, dev, lba, slot, gen, tenant] {
-      pumpDeferred(lineIdx, dev, lba, slot, gen, tenant);
-    });
-  }
-
   // Land `src` in a line claimed BUSY for its page, with no SSD round trip:
   // the line turns READY and wakes anyone parked on it.
   void fillLineFrom(gpu::KernelCtx& ctx, CacheLine& l, const AgileBuf& src) {
@@ -1261,9 +1061,9 @@ class AgileCtrl {
   }
 
   // d4n-style cache-space accounting: a line's owner changes exactly when a
-  // tenant claims it (fill, propagation, demotion) or a cancel releases the
-  // claim, so QosManager::cacheLines(t) counts the lines a tenant currently
-  // holds in the shared cache. No-op (beyond the stored owner id) without QoS.
+  // tenant claims it (fill, propagation, demotion), so
+  // QosManager::cacheLines(t) counts the lines a tenant currently holds in
+  // the shared cache. No-op (beyond the stored owner id) without QoS.
   void noteLineOwner(CacheLine& line, qos::TenantId t) {
     if (qos::QosManager* q = host_->qosManager()) {
       q->onCacheLineOwner(line.tenant, t.value);
@@ -1287,7 +1087,6 @@ class AgileCtrl {
   Share share_;
   CtrlStats stats_;
   IoOpPool ops_;
-  std::uint32_t deferredSqCursor_ = 0;
 };
 
 using DefaultCtrl = AgileCtrl<ClockPolicy, DefaultSharePolicy>;

@@ -54,7 +54,7 @@ struct Transaction {
   AgileTxBarrier* barrier = nullptr;
   std::byte* staging = nullptr;
   StagingPool* stagingPool = nullptr;
-  // Optional token-op notification (prefetch / batch fills): completion
+  // Optional token-op notification (batch prefetch fills): completion
   // decrements the op's outstanding-fill count. Generation-checked, so a
   // ref outliving its op is harmless.
   IoOpRef op;

@@ -1,23 +1,20 @@
-// IoToken / IoOpPool / IoBatch: the unified asynchronous request surface.
+// IoToken / IoOpPool / IoBatch: the batch token surface.
 //
-// Every token-returning submit on AgileCtrl (submitRead / submitWrite /
-// submitPrefetch / submitBatch) allocates one IoOp from the controller's
-// IoOpPool and hands back an IoToken — a generation-checked handle modeled
-// on the engine's sim::TimerId. A token supports
+// AgileCtrl::submitBatch allocates one IoOp from the controller's IoOpPool
+// and hands back an IoToken — a generation-checked handle modeled on the
+// engine's sim::TimerId. A token supports
 //   poll()   non-blocking status query,
-//   wait()   co_await until the op reaches a terminal state,
-//   cancel() abort a *speculative* prefetch before its SSD command is
-//            issued (wired to the timer wheel's O(1) Engine::cancel).
-// Stale handles are always safe: once an op is observed terminal (wait,
-// cancel, or an explicit retire) its slot recycles and any further poll on
-// the old token reports kRetired — exactly the TimerId contract.
+//   wait()   co_await until every entry of the batch is terminal.
+// Stale handles are always safe: once an op is observed terminal (by wait,
+// or an explicit IoOpPool::retire) its slot recycles and any further poll
+// on the old token reports kRetired — exactly the TimerId contract.
 //
-// Completion routing: ops that track caller buffers (read/write) observe
-// the buffer's AgileTxBarrier lazily, so the service's completion path is
-// untouched. Ops that own cache fills (prefetch, batch prefetch entries)
-// ride an IoOpRef carried by the SQE's Transaction: applyCompletion notifies
-// the pool, which decrements the op's outstanding-fill count and wakes
-// waiters when it hits zero.
+// Completion routing: read/write entries track caller buffers, observed
+// lazily through each buffer's AgileTxBarrier, so the service's completion
+// path is untouched. Prefetch entries own cache fills and ride an IoOpRef
+// carried by the SQE's Transaction: applyCompletion notifies the pool, which
+// decrements the op's outstanding-fill count and wakes waiters when it hits
+// zero.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +32,10 @@ namespace agile::core {
 
 class IoOpPool;
 
+// Batch entry kinds (kRead / kWrite / kPrefetch) and pool slot kinds
+// (kNone = free, kBatch = a live batch op).
 enum class IoOpKind : std::uint8_t {
-  kNone,      // free pool slot
+  kNone,      // free pool slot / empty entry
   kRead,      // SSD -> user buffer (tracked via the buffer's barrier)
   kWrite,     // user buffer -> SSD (tracked via the buffer's barrier)
   kPrefetch,  // SSD -> software cache (tracked via Transaction IoOpRef)
@@ -44,18 +43,17 @@ enum class IoOpKind : std::uint8_t {
 };
 
 enum class IoStatus : std::uint8_t {
-  kPending,    // transfer(s) still in flight (or deferred)
-  kDone,       // all transfers completed successfully
-  kFailed,     // at least one transfer reported an NVMe error (or dropped)
-  kCancelled,  // speculative op aborted before any SSD command was issued
-  kRetired,    // stale handle: the op was already observed and recycled
+  kPending,  // transfer(s) still in flight
+  kDone,     // all transfers completed successfully
+  kFailed,   // at least one transfer reported an NVMe error (or dropped)
+  kRetired,  // stale handle: the op was already observed and recycled
 };
 
 /// Generation-checked handle to an in-flight asynchronous op. Copyable and
 /// trivially destructible; a default-constructed token is invalid. All
 /// operations on a stale token are safe no-ops (poll -> kRetired).
 // Tagged as a TSA capability: a live token authorizes exactly one settle
-// path (poll-to-done / wait / cancel / retire); IoOpPool generation checks
+// path (poll-to-done / wait / retire); IoOpPool generation checks
 // catch stale reuse at runtime, agile-lint's dropped-token check catches
 // discards at review time, and [[nodiscard]] on the producers catches them
 // at compile time.
@@ -77,7 +75,7 @@ class AGILE_CAPABILITY("io-token") IoToken {
 /// Reference to an op carried by a Transaction: lets the shared completion
 /// path (applyCompletion) notify the pool without knowing the controller.
 /// Generation-checked like the token itself, so a completion arriving after
-/// the op was cancelled/retired is a no-op.
+/// the op was retired is a no-op.
 struct IoOpRef {
   IoOpPool* pool = nullptr;
   std::uint32_t slot = 0;
@@ -175,31 +173,18 @@ class IoBatch {
 /// WaitList members make IoOp non-movable, so the pool stores ops in a
 /// deque (stable addresses, no relocation on growth).
 struct IoOp {
-  static constexpr std::uint32_t kNoLine =
-      std::numeric_limits<std::uint32_t>::max();
-
   IoOpKind kind = IoOpKind::kNone;
   IoStatus status = IoStatus::kPending;
   std::uint64_t gen = 0;
   bool sawError = false;
 
-  // kRead / kWrite: the tracked caller buffer's barrier (observed lazily).
-  AgileTxBarrier* barrier = nullptr;
-  // kBatch: the caller-owned descriptor object (member buffers polled
-  // through it).
+  // The caller-owned descriptor object (member buffers polled through it).
   IoBatch* batch = nullptr;
-  // kPrefetch / kBatch: SSD commands still in flight that report back
-  // through IoOpRef-carrying transactions.
+  // Prefetch-entry fills still in flight that report back through
+  // IoOpRef-carrying transactions.
   std::uint32_t pendingFills = 0;
 
-  // Speculative prefetch state: the deferred-issue timer, the target page
-  // and the cache line claimed for it.
-  sim::TimerId timer;
-  std::uint32_t dev = 0;
-  std::uint64_t lba = 0;
-  std::uint32_t line = kNoLine;
-
-  // Parked wait()ers for ops without a caller barrier.
+  // wait()ers parked until the last fill lands.
   sim::WaitList waiters;
 
   std::uint32_t nextFree = 0;
@@ -216,7 +201,7 @@ struct IoOpPoolStats {
 class IoOpPool {
  public:
   AGILE_NODISCARD(
-      "the token is the only handle that can poll/wait/cancel this op")
+      "the token is the only handle that can poll/wait this op")
   IoToken alloc(IoOpKind kind) {
     std::uint32_t slot;
     if (freeHead_ != kNilSlot) {
@@ -231,11 +216,8 @@ class IoOpPool {
     op.status = IoStatus::kPending;
     op.gen = ++genCounter_;
     op.sawError = false;
-    op.barrier = nullptr;
     op.batch = nullptr;
     op.pendingFills = 0;
-    op.timer = sim::TimerId{};
-    op.line = IoOp::kNoLine;
     ++live_;
     ++stats_.allocated;
     if (live_ > stats_.highWater) stats_.highWater = live_;
@@ -247,8 +229,6 @@ class IoOpPool {
 
   /// Transaction-side reference to a live token's op.
   IoOpRef ref(const IoToken& t) { return {this, t.slot_, t.gen_}; }
-  std::uint32_t slotOf(const IoToken& t) const { return t.slot_; }
-  std::uint64_t genOf(const IoToken& t) const { return t.gen_; }
 
   IoOp* resolve(std::uint32_t slot, std::uint64_t gen) {
     if (gen == 0 || slot >= ops_.size()) return nullptr;
@@ -259,7 +239,7 @@ class IoOpPool {
 
   /// Completion notification from the shared NVMe completion path: one
   /// outstanding fill of (slot, gen) finished with `status`. Stale refs are
-  /// ignored (the op was cancelled or retired meanwhile).
+  /// ignored (the op was retired meanwhile).
   void completeOp(std::uint32_t slot, std::uint64_t gen, nvme::Status status,
                   sim::Engine& engine) {
     IoOp* op = resolve(slot, gen);

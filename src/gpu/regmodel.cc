@@ -30,12 +30,6 @@ std::uint32_t ioApiFootprint(IoApiPath path) {
       return 32;
     case IoApiPath::kAgileAsyncWrite:
       return 16;
-    case IoApiPath::kAgileTokenRead:
-      // async read(16) + token slot/gen handle(3)
-      return 19;
-    case IoApiPath::kAgileTokenPrefetch:
-      // tag/claim(4) + token handle(3) + timer id(2) + chain(2)
-      return 11;
     case IoApiPath::kAgileBatchSubmit:
       // batch ptr(2) + entry cursor(2) + pending-cmd ring(8) + doorbell
       // run(4) + token handle(3)
@@ -81,10 +75,6 @@ std::string ioApiPathName(IoApiPath path) {
       return "agile.asyncRead(window)";
     case IoApiPath::kAgileAsyncWrite:
       return "agile.asyncWrite";
-    case IoApiPath::kAgileTokenRead:
-      return "agile.token.read";
-    case IoApiPath::kAgileTokenPrefetch:
-      return "agile.token.prefetch";
     case IoApiPath::kAgileBatchSubmit:
       return "agile.batch.submit";
     case IoApiPath::kAgileGatherPipelined:

@@ -35,8 +35,6 @@ enum class IoApiPath : std::uint8_t {
   kAgileAsyncRead,          // async_issue into a user buffer
   kAgileAsyncReadWindowed,  // async_issue with a multi-buffer window
   kAgileAsyncWrite,
-  kAgileTokenRead,          // submitRead + poll/wait on the IoToken
-  kAgileTokenPrefetch,      // speculative submitPrefetch + cancel window
   kAgileBatchSubmit,        // IoBatch descriptor pass, one doorbell
   kAgileGatherPipelined,    // depth-K prefetch-ahead gather
 };

@@ -18,6 +18,9 @@ struct CtrlFixture : ::testing::Test {
   std::unique_ptr<AgileHost> host;
   std::unique_ptr<DefaultCtrl> ctrl;
   StripeMap stripe;  // the array view's layout; set before build()
+  // Nonzero: the last SSD's read latency (set before build()). Fills to it
+  // hold cache lines BUSY while the other SSDs answer at the default speed.
+  SimTime lastSsdReadNs = 0;
 
   void build(std::uint32_t cacheLines = 64, std::uint32_t qps = 2,
              std::uint32_t depth = 64, std::uint32_t ssds = 1,
@@ -34,6 +37,9 @@ struct CtrlFixture : ::testing::Test {
       ssd.name = "nvme" + std::to_string(i);
       ssd.capacityLbas = 65536;
       if (fault != nullptr) ssd.fault = *fault;
+      if (lastSsdReadNs != 0 && i + 1 == ssds) {
+        ssd.readLatencyNs = lastSsdReadNs;
+      }
       host->addNvmeDev(ssd);
     }
     host->initNvme();
@@ -514,34 +520,38 @@ TEST_F(CtrlFixture, WriteBeforeReleaseBlocksDemotion) {
 }
 
 // With every line BUSY the demotion is dropped on the spot: a release that
-// parked for a free line would wait on fills that only this lane's later
-// cancels can release, and the kernel would never end.
+// parked for a free line would wait out fills it has no part in. Both lines
+// are held BUSY by fills to a 10 ms SSD while the read of page 40 and its
+// release finish on a fast one.
 TEST_F(CtrlFixture, AllBusyCacheDropsDemotion) {
-  build(/*cacheLines=*/2);
+  lastSsdReadNs = 10_ms;
+  build(/*cacheLines=*/2, 2, 64, /*ssds=*/2);
   auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
   AgileBuf buf(mem);
-  bool cancelled = false;
+  SimTime releasedAt = 0;
+  std::uint32_t busyAtRelease = 0;
   ASSERT_TRUE(host->runKernel(
       {.gridDim = 1, .blockDim = 1, .name = "demote-stall"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        // Two speculative prefetches hold both lines BUSY for 10 ms.
-        const IoToken t1 = co_await ctrl->submitPrefetch(ctx, 0, 1, chain,
-                                                         10'000'000);
-        const IoToken t2 = co_await ctrl->submitPrefetch(ctx, 0, 2, chain,
-                                                         10'000'000);
+        co_await ctrl->prefetch(ctx, /*dev=*/1, 1, chain);
+        co_await ctrl->prefetch(ctx, /*dev=*/1, 2, chain);
         AgileBufPtr ptr(buf);
         co_await ctrl->asyncRead(ctx, 0, 40, ptr, chain);
         (void)co_await ctrl->waitBuf(ctx, ptr);
+        busyAtRelease = ctrl->cache().busyLines();
         co_await ctrl->releaseOwned(ctx, 0, 40, ptr, chain);
-        cancelled = ctrl->cancel(ctx, t1) && ctrl->cancel(ctx, t2);
+        releasedAt = ctx.now();
       }));
-  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(busyAtRelease, 2u);
+  EXPECT_LT(releasedAt, 1_ms);  // the release did not park on the fills
   EXPECT_EQ(ctrl->shareTable().stats().demotions, 0u);
   EXPECT_EQ(ctrl->cache().stats().victimStalls, 1u);
-  EXPECT_EQ(ctrl->cache().busyLines(), 0u);
   EXPECT_EQ(ctrl->shareTable().size(), 0u);
   EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
+  ASSERT_TRUE(host->drainIo());
+  EXPECT_EQ(ctrl->cache().busyLines(), 0u);
+  EXPECT_EQ(host->ssd(1).readsCompleted(), 2u);
 }
 
 // Regression: asyncWrite invalidating a page whose Share-Table entry still
@@ -828,23 +838,22 @@ TEST_F(CtrlFixture, ReadOrFillCoalescesOnePageToOneProbe) {
 }
 
 TEST_F(CtrlFixture, ReadOrFillLineEvictedBeforePeerReadReturnsNothing) {
-  // Two lines, one shard. Page 1 is READY in one line; a speculative
-  // prefetch of page 2 holds the other BUSY for 1 ms. In one warp, lanes 0-1
+  // Two lines, one shard. Page 1 is READY in one line; a prefetch of page 2
+  // on a 1 ms SSD holds the other BUSY. In one warp, lanes 0-1
   // read page 1 (lane 0 leads and probes a hit), lane 2 misses page 3 and
   // evicts page 1's line for its fill, and lane 3 misses page 4 with both
   // lines BUSY, so it stalls until page 3 lands and then claims that line.
   // Only then does the shuffle hand lane 0's line index to lane 1: the line
   // now holds page 3's data under page 4's tag.
-  build(/*cacheLines=*/2);
+  lastSsdReadNs = 1_ms;
+  build(/*cacheLines=*/2, 2, 64, /*ssds=*/2);
   ASSERT_EQ(ctrl->cache().shardCount(), 1u);
   ASSERT_TRUE(host->runKernel(
       {.gridDim = 1, .blockDim = 1, .name = "rof-setup"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
         (void)co_await ctrl->arrayRead<std::uint64_t>(ctx, 1 * 512, chain);
-        const IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 2, chain,
-                                                        /*delay=*/1_ms);
-        ctrl->retire(t);
+        co_await ctrl->prefetch(ctx, /*dev=*/1, 2, chain);
       }));
   std::vector<std::optional<std::uint64_t>> got(4);
   ASSERT_TRUE(host->runKernel(

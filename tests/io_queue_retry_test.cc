@@ -407,10 +407,9 @@ TEST_F(RetryFixture, QuarantineAndCooldownTransitions) {
   EXPECT_EQ(sq0.consecTimeouts, 2u);
 }
 
-// cancel() during the retry window is refused — the op is no longer a
-// cancellable speculative prefetch — and the token completes exactly once,
-// from the attempt that finally succeeds.
-TEST_F(RetryFixture, CancelDuringRetryWindowIsRefused) {
+// A batch prefetch whose fill is mid-retry polls kPending, and its token
+// completes exactly once, from the attempt that finally succeeds.
+TEST_F(RetryFixture, BatchPrefetchCompletesOnceFromRescuedRetry) {
   BuildOpts o;
   o.retry.maxAttempts = 4;
   o.retry.backoffBaseNs = 300'000;
@@ -418,32 +417,31 @@ TEST_F(RetryFixture, CancelDuringRetryWindowIsRefused) {
   build(o);
   host->ssd(0).injectFault(7);
 
+  IoBatch batch;
+  batch.addPrefetch(0, 7);
   IoToken tok;
   ASSERT_TRUE(host->runKernel(
       {.gridDim = 1, .blockDim = 1, .name = "pf-submit"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        tok = co_await ctrl->submitPrefetch(ctx, 0, 7, chain);
+        tok = co_await ctrl->submitBatch(ctx, batch, chain);
       }));
   ASSERT_TRUE(host->engine().runUntil(
       [&] { return host->ioHealth().retries >= 1; }));
   host->ssd(0).clearInjectedFaults();
 
-  bool cancelled = true;
   IoStatus midRetry = IoStatus::kRetired;
   bool ok = false;
   ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 1, .name = "pf-cancel-wait"},
+      {.gridDim = 1, .blockDim = 1, .name = "pf-wait"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        cancelled = ctrl->cancel(ctx, tok);
         midRetry = ctrl->poll(ctx, tok);
         ok = co_await ctrl->wait(ctx, tok);
       }));
-  EXPECT_FALSE(cancelled);
   EXPECT_EQ(midRetry, IoStatus::kPending);
   EXPECT_TRUE(ok);
   EXPECT_EQ(host->ioHealth().rescued, 1u);
-  EXPECT_EQ(ctrl->stats().prefetchCancelled, 0u);
+  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);
   // The rescued fill is a normal READY line serving hits.
   const std::uint32_t line = findLine(7, 8);
   ASSERT_NE(line, kNoSlot);

@@ -1,7 +1,6 @@
-// Tests for the unified async surface: IoToken lifecycle (submit / poll /
-// wait / retire), speculative prefetch cancellation through the timer
-// wheel, IoBatch submission with single-doorbell coverage, and IoOpPool
-// slot recycling / generation checks.
+// Tests for the batch token surface: IoToken lifecycle (submit / poll /
+// wait / retire), IoBatch submission with single-doorbell coverage, and
+// IoOpPool slot recycling / generation checks.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -38,225 +37,44 @@ struct TokenFixture : ::testing::Test {
   }
 };
 
-TEST_F(TokenFixture, SubmitReadPollsAndWaits) {
-  build();
-  auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
-  IoStatus atSubmit = IoStatus::kRetired;
-  IoStatus afterWait = IoStatus::kRetired;
-  bool ok = false;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 1, .name = "tok-read"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        AgileBuf buf(mem);
-        AgileBufPtr ptr(buf);
-        IoToken t = co_await ctrl->submitRead(ctx, 0, 21, ptr, chain);
-        EXPECT_TRUE(static_cast<bool>(t));
-        atSubmit = ctrl->poll(ctx, t);
-        ok = co_await ctrl->wait(ctx, t);
-        afterWait = ctrl->poll(ctx, t);  // retired by the wait
-      }));
-  EXPECT_EQ(atSubmit, IoStatus::kPending);  // direct read was in flight
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(afterWait, IoStatus::kRetired);
-  std::byte expect[nvme::kLbaBytes];
-  nvme::FlashStore::defaultPattern(21, expect);
-  EXPECT_EQ(std::memcmp(mem, expect, nvme::kLbaBytes), 0);
-  EXPECT_EQ(ctrl->stats().tokenSubmits, 1u);
-  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);  // slot recycled
-}
-
-TEST_F(TokenFixture, SubmitWritePersists) {
-  build();
-  auto* mem = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
-  bool ok = false;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 1, .name = "tok-write"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        AgileBuf buf(mem);
-        AgileBufPtr ptr(buf);
-        ptr.as<std::uint64_t>()[0] = 0xfeedbeef;
-        IoToken t = co_await ctrl->submitWrite(ctx, 0, 50, ptr, chain);
-        ok = co_await ctrl->wait(ctx, t);
-      }));
-  EXPECT_TRUE(ok);
-  std::byte page[nvme::kLbaBytes];
-  ASSERT_TRUE(host->ssd(0).flash().readPage(50, page));
-  std::uint64_t word;
-  std::memcpy(&word, page, sizeof word);
-  EXPECT_EQ(word, 0xfeedbeefu);
-}
-
-TEST_F(TokenFixture, SubmitPrefetchImmediateThenHit) {
-  build();
-  std::uint64_t got = 0;
-  bool ok = false;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 1, .name = "tok-pf"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 9, chain);
-        ok = co_await ctrl->wait(ctx, t);
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 9 * 512, chain);
-      }));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(got, nvme::FlashStore::patternWord(9, 0));
-  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);  // the fill; read was a hit
-}
-
-TEST_F(TokenFixture, SpeculativeCancelIssuesNoReadAndLeaksNoLine) {
-  build();
-  bool cancelled = false;
-  IoStatus after = IoStatus::kPending;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 1, .name = "tok-cancel"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 33, chain,
-                                                  /*speculativeDelayNs=*/10000);
-        cancelled = ctrl->cancel(ctx, t);
-        after = ctrl->poll(ctx, t);
-      }));
-  ASSERT_TRUE(host->drainIo());
-  EXPECT_TRUE(cancelled);
-  EXPECT_EQ(after, IoStatus::kRetired);  // cancel observed + recycled
-  // The SSD never saw the read and the claimed line was fully released.
-  EXPECT_EQ(host->ssd(0).readsCompleted(), 0u);
-  EXPECT_EQ(ctrl->cache().busyLines(), 0u);
-  EXPECT_EQ(ctrl->cache().findLine(makeTag(0, 33)), DefaultCtrl::Cache::npos);
-  EXPECT_EQ(ctrl->stats().prefetchCancelled, 1u);
-  EXPECT_EQ(ctrl->stats().speculativePrefetches, 1u);
-  EXPECT_EQ(ctrl->stats().deferredIssues, 0u);
-  EXPECT_EQ(ctrl->cache().stats().cancelledClaims, 1u);
-  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);
-}
-
-TEST_F(TokenFixture, SpeculativeUncancelledFillsTheCache) {
-  build();
-  bool ok = false;
-  std::uint64_t got = 0;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 1, .name = "tok-spec"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 12, chain,
-                                                  /*speculativeDelayNs=*/2000);
-        ok = co_await ctrl->wait(ctx, t);
-        got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 12 * 512, chain);
-      }));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(got, nvme::FlashStore::patternWord(12, 0));
-  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
-  EXPECT_EQ(ctrl->stats().deferredIssues, 1u);
-  EXPECT_EQ(ctrl->stats().prefetchCancelled, 0u);
-}
-
-TEST_F(TokenFixture, CancelAfterWindowClosesReturnsFalse) {
-  build();
-  bool cancelled = true;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 1, .name = "tok-late"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 5, chain,
-                                                  /*speculativeDelayNs=*/500);
-        co_await gpu::compute(ctx, 200000);  // let the window close + fill land
-        cancelled = ctrl->cancel(ctx, t);
-        ctrl->retire(t);
-      }));
-  EXPECT_FALSE(cancelled);
-  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);  // the deferred fill fired
-}
-
-TEST_F(TokenFixture, CancelRefusedWhenDemandAttached) {
-  build();
-  bool cancelled = true;
-  std::uint64_t got = 0;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 2, .name = "tok-demand"},
-      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
-        AgileLockChain chain;
-        if (ctx.threadIdx() == 0) {
-          IoToken t = co_await ctrl->submitPrefetch(
-              ctx, 0, 77, chain, /*speculativeDelayNs=*/20000);
-          // Give thread 1 time to park on the BUSY line, then try to cancel.
-          co_await gpu::compute(ctx, 5000);
-          cancelled = ctrl->cancel(ctx, t);
-          ctrl->retire(t);
-        } else {
-          co_await gpu::compute(ctx, 1000);
-          // Demand read of the same page: parks on the pending fill.
-          got = co_await ctrl->arrayRead<std::uint64_t>(ctx, 77 * 512, chain);
-        }
-      }));
-  EXPECT_FALSE(cancelled);  // a reader was riding the fill
-  EXPECT_EQ(got, nvme::FlashStore::patternWord(77, 0));
-  EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
-}
-
-TEST_F(TokenFixture, WaiterObservesConcurrentCancelAsFailure) {
-  // A lane parked in wait() while another cancels the speculative prefetch
-  // must wake, observe kCancelled, and report failure — not success.
-  build();
-  bool cancelled = false;
-  bool waitResult = true;
-  ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 2, .name = "tok-race"},
-      [&, shared = IoToken{}](gpu::KernelCtx& ctx) mutable
-          -> gpu::GpuTask<void> {
-        // One KernelFn instance is shared by all lanes, so the mutable
-        // capture is common state: lane 0 publishes the token, lane 1 waits.
-        AgileLockChain chain;
-        if (ctx.threadIdx() == 0) {
-          shared = co_await ctrl->submitPrefetch(
-              ctx, 0, 88, chain, /*speculativeDelayNs=*/50000);
-          co_await gpu::compute(ctx, 4000);  // let thread 1 park in wait()
-          cancelled = ctrl->cancel(ctx, shared);
-        } else {
-          co_await gpu::compute(ctx, 1000);
-          waitResult = co_await ctrl->wait(ctx, shared);
-        }
-      }));
-  ASSERT_TRUE(host->drainIo());
-  EXPECT_TRUE(cancelled);
-  EXPECT_FALSE(waitResult);  // cancelled, so the wait must not claim success
-  EXPECT_EQ(host->ssd(0).readsCompleted(), 0u);
-  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);  // the waiter retired the slot
-}
-
 TEST_F(TokenFixture, RetireRefusedWhileWaiterParked) {
   // retire() on a token with a parked wait()er must be a no-op: the waiter
   // owns the observation. Recycling under it would strand the continuation
-  // (simulation hang) or wake it spuriously from a later op.
+  // (simulation hang) or wake it spuriously from a later op. Two lanes, in
+  // separate blocks so the submit's warp election is single-lane, wait on
+  // one batch token; the first to wake retires it.
   build();
-  bool waitResult = false;
+  IoBatch batch;
+  batch.addPrefetch(0, 91);
+  IoToken shared;
+  bool waitResult[2] = {false, false};
   ASSERT_TRUE(host->runKernel(
-      {.gridDim = 1, .blockDim = 2, .name = "tok-retire-race"},
-      [&, shared = IoToken{}](gpu::KernelCtx& ctx) mutable
-          -> gpu::GpuTask<void> {
+      {.gridDim = 2, .blockDim = 1, .name = "tok-retire-race"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        if (ctx.threadIdx() == 0) {
-          shared = co_await ctrl->submitPrefetch(
-              ctx, 0, 91, chain, /*speculativeDelayNs=*/20000);
-          co_await gpu::compute(ctx, 4000);  // thread 1 is parked by now
-          ctrl->retire(shared);              // must be refused
+        const std::uint32_t b = ctx.blockIdx();
+        if (b == 0) {
+          shared = co_await ctrl->submitBatch(ctx, batch, chain);
+          co_await gpu::compute(ctx, 4000);  // block 1 is parked by now
+          ctrl->tokens().retire(shared);     // must be refused
+          EXPECT_EQ(ctrl->poll(ctx, shared), IoStatus::kPending);
         } else {
           co_await gpu::compute(ctx, 1000);
-          waitResult = co_await ctrl->wait(ctx, shared);
         }
+        waitResult[b] = co_await ctrl->wait(ctx, shared);
       }));
   ASSERT_TRUE(host->drainIo());
-  EXPECT_TRUE(waitResult);  // the deferred fill completed normally
+  EXPECT_TRUE(waitResult[0]);  // the fill completed normally
+  EXPECT_TRUE(waitResult[1]);
   EXPECT_EQ(host->ssd(0).readsCompleted(), 1u);
-  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);  // the waiter retired the slot
+  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);  // a waiter retired the slot
 }
 
 TEST_F(TokenFixture, ReusedBufPtrDropsStaleShareRedirect) {
   // An AgileBufPtr that was redirected to a peer's buffer by a Share-Table
   // hit and then reused for a fresh read must track its own buffer again:
-  // the stale peer barrier (already quiesced) must not make wait() report
-  // completion while the new fill is still in flight.
+  // the stale peer barrier (already quiesced) must not make waitBuf()
+  // report completion while the new fill is still in flight.
   build();
   auto* memA = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
   auto* memB = host->gpu().hbm().allocBytes(nvme::kLbaBytes);
@@ -280,9 +98,10 @@ TEST_F(TokenFixture, ReusedBufPtrDropsStaleShareRedirect) {
           EXPECT_TRUE(ptr.isShared());
           // agile-lint: allow(share-owner-reuse): peer-side release (isShared() asserted above); the owner-reuse hazard is owner-side only
           co_await ctrl->releaseBuf(ctx, ptr, chain);
-          IoToken t = co_await ctrl->submitRead(ctx, 0, 56, ptr, chain);
-          EXPECT_TRUE(co_await ctrl->wait(ctx, t));
-          // Data must be present the moment wait() returns.
+          co_await ctrl->asyncRead(ctx, 0, 56, ptr, chain);
+          const bool ok = co_await ctrl->waitBuf(ctx, ptr);
+          EXPECT_TRUE(ok);
+          // Data must be present the moment waitBuf() returns.
           wordAfterWait = ptr.as<std::uint64_t>()[0];
           EXPECT_EQ(ptr.data(), memB);  // tracking its own buffer again
         }
@@ -394,7 +213,9 @@ TEST_F(TokenFixture, ReadErrorSurfacesThroughTokenWait) {
         AgileLockChain chain;
         AgileBuf buf(mem);
         AgileBufPtr ptr(buf);
-        IoToken t = co_await ctrl->submitRead(ctx, 0, 61, ptr, chain);
+        IoBatch batch;
+        batch.addRead(0, 61, ptr);
+        IoToken t = co_await ctrl->submitBatch(ctx, batch, chain);
         // Busy-poll until terminal, then wait (covers both observers).
         for (;;) {
           polled = ctrl->poll(ctx, t);
@@ -413,12 +234,14 @@ TEST_F(TokenFixture, StaleTokensAreSafeNoOps) {
       {.gridDim = 1, .blockDim = 1, .name = "tok-stale"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 7, chain);
+        IoBatch batch;
+        batch.addPrefetch(0, 7);
+        IoToken t = co_await ctrl->submitBatch(ctx, batch, chain);
         (void)co_await ctrl->wait(ctx, t);     // retires
         EXPECT_EQ(ctrl->poll(ctx, t), IoStatus::kRetired);
-        EXPECT_FALSE(ctrl->cancel(ctx, t));
-        ctrl->retire(t);                        // double retire: no-op
-        EXPECT_TRUE(co_await ctrl->wait(ctx, t));
+        ctrl->tokens().retire(t);               // double retire: no-op
+        const bool staleWait = co_await ctrl->wait(ctx, t);
+        EXPECT_TRUE(staleWait);
         IoToken invalid;
         EXPECT_FALSE(static_cast<bool>(invalid));
         EXPECT_EQ(ctrl->poll(ctx, invalid), IoStatus::kRetired);
@@ -432,7 +255,9 @@ TEST_F(TokenFixture, PoolRecyclesSlotsAcrossGenerations) {
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
         for (std::uint64_t i = 0; i < 16; ++i) {
-          IoToken t = co_await ctrl->submitPrefetch(ctx, 0, 1000 + i, chain);
+          IoBatch batch;
+          batch.addPrefetch(0, 1000 + i);
+          IoToken t = co_await ctrl->submitBatch(ctx, batch, chain);
           (void)co_await ctrl->wait(ctx, t);
         }
       }));

@@ -455,7 +455,6 @@ TEST_F(KvFixture, EarlyEosLeaksNothing) {
   const KvServerStats& s = server.stats();
   EXPECT_EQ(s.requestsRetired, 1u);
   EXPECT_EQ(s.tokensGenerated, 1u);
-  EXPECT_EQ(ctrl->stats().speculativePrefetches, 0u);
 
   EXPECT_EQ(ctrl->cache().busyLines(), 0u);
   EXPECT_EQ(ctrl->cache().busyLinesSlow(), 0u);

@@ -135,13 +135,14 @@ TEST_F(ServiceFixture, WatchdogErrorsSlowCommand) {
 TEST_F(ServiceFixture, WatchdogErrorsCacheFill) {
   build(1, 64, 2, /*ioTimeoutNs=*/500_us, /*readLatencyNs=*/5_ms);
   DefaultCtrl ctrl(*host, CtrlConfig{.cacheLines = 8});
-  IoToken token;
+  IoBatch batch;
+  batch.addPrefetch(0, 3);
   bool waitOk = true;
   const bool ok = host->runKernel(
       {.gridDim = 1, .blockDim = 1, .name = "slow-prefetch"},
       [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
         AgileLockChain chain;
-        token = co_await ctrl.submitPrefetch(ctx, 0, 3, chain);
+        const IoToken token = co_await ctrl.submitBatch(ctx, batch, chain);
         waitOk = co_await ctrl.wait(ctx, token);
       });
   ASSERT_TRUE(ok);

@@ -535,7 +535,7 @@ def check_share_owner_reuse(ctx: FileContext) -> Iterator[Finding]:
     # redirected peer has not read yet — exactly the hazard
     # ShareEntry::drainWaiters was added to close.
     reuse_calls = re.compile(
-        r"\b(asyncRead|asyncWrite|submitRead|submitWrite)\s*\("
+        r"\b(asyncRead|asyncWrite)\s*\("
     )
     for scope in ctx.scopes():
         if "releaseOwned" in scope.text:
@@ -608,8 +608,7 @@ def check_tenant_default(ctx: FileContext) -> Iterator[Finding]:
 # arrayRead/arrayWrite are absent: the argument after their ctx is the
 # element index, which elemAddr routes, so a literal there is no pinned device.
 _DEVICE_CALL_RE = re.compile(
-    r"\b(prefetch|prefetchDivergent|asyncRead|asyncWrite|submitRead|"
-    r"submitWrite|submitPrefetch|"
+    r"\b(prefetch|prefetchDivergent|asyncRead|asyncWrite|"
     r"readElem|writeElem|readPage|issueFill|issueToSsd|issueBatchToSsd|"
     r"slice)\s*(?:<[^;(){}]*>)?\s*(\()"
 )
@@ -748,35 +747,48 @@ def _awaited_operand_end(text: str, i: int) -> int:
     return i
 
 
+_CONDITION_RE = re.compile(r"\b(if|while|switch)\s*(?:constexpr\s*)?\(")
+
+
 @check(
     "co-await-short-circuit",
     "hygiene",
-    "co_await as an operand of && or || has been seen to miscompile under "
-    "g++ 12 (the lane resumes outside the scheduler awaitables) — hoist the "
+    "co_await as an operand of && or ||, or inside an if/while/switch "
+    "condition, has been seen to miscompile under g++ 12 (the lane resumes "
+    "outside the scheduler awaitables, or dies with SIGILL) — hoist the "
     "await into its own statement",
 )
 def check_co_await_short_circuit(ctx: FileContext) -> Iterator[Finding]:
     # Right operand: the await (behind any `!` or `(`) follows && / ||, so
     # it is evaluated conditionally. Left operand: the awaited expression is
-    # followed directly by && / ||.
+    # followed directly by && / ||. Condition: the await sits inside the
+    # parenthesized condition of an if, while or switch.
     text = ctx.stripped
+    conditions = []
+    for m in _CONDITION_RE.finditer(text):
+        open_at = m.end() - 1
+        conditions.append((m.group(1), open_at,
+                           _skip_balanced(text, open_at, "(", ")")))
     for m in _CO_AWAIT_RE.finditer(text):
         j = m.start() - 1
         while j >= 0 and (text[j].isspace() or text[j] in "!("):
             j -= 1
         after = text[_awaited_operand_end(text, m.end()):].lstrip()
-        side = None
         if text[max(j - 1, 0):j + 1] in ("&&", "||"):
-            side = "right"
+            what = "the right operand of a short-circuit operator"
         elif after.startswith(("&&", "||")):
-            side = "left"
-        if side is None:
-            continue
+            what = "the left operand of a short-circuit operator"
+        else:
+            kw = next((k for k, a, b in conditions if a < m.start() < b), None)
+            if kw is None:
+                continue
+            what = f"inside an {kw} condition" if kw == "if" else \
+                f"inside a {kw} condition"
         line = 1 + text.count("\n", 0, m.start())
         yield Finding(
             ctx.relpath, line, "co-await-short-circuit",
-            f"co_await is the {side} operand of a short-circuit operator — "
-            "await into a local in its own statement, then test the local",
+            f"co_await is {what} — await into a local in its own "
+            "statement, then test the local",
         )
 
 

@@ -5,7 +5,7 @@ struct Ctx {};
 struct Chain {};
 struct Buf {};
 struct Ctrl {
-  int submitRead(Ctx& ctx, unsigned dev, unsigned long lba, Buf& b, Chain& c);
+  int asyncRead(Ctx& ctx, unsigned dev, unsigned long lba, Buf& b, Chain& c);
   void prefetch(Ctx& ctx, unsigned dev, unsigned long lba, Chain& c);
 };
 struct QpSlice {
@@ -18,7 +18,7 @@ struct QueuePairs {
 
 int pinned(Ctrl& ctrl, Ctx& ctx, Chain& chain, Buf& buf) {
   ctrl.prefetch(ctx, 0, 17, chain);
-  return ctrl.submitRead(ctx, 2, 17, buf, chain);
+  return ctrl.asyncRead(ctx, 2, 17, buf, chain);
 }
 
 unsigned pinnedQueuePairs(QueuePairs& qps) {

@@ -13,7 +13,7 @@ struct StripeMap {};
 ElemAddr elemAddr(unsigned long idx, const StripeMap& map);
 struct Ctrl {
   int arrayRead(Ctx& ctx, unsigned long idx, Chain& c);
-  int submitRead(Ctx& ctx, unsigned dev, unsigned long lba, Buf& b, Chain& c);
+  int asyncRead(Ctx& ctx, unsigned dev, unsigned long lba, Buf& b, Chain& c);
   void prefetch(Ctx& ctx, unsigned dev, unsigned long lba, Chain& c);
 };
 struct QpSlice {
@@ -28,7 +28,7 @@ int striped(Ctrl& ctrl, Ctx& ctx, Chain& chain, Buf& buf,
             const StripeMap& stripe, unsigned long idx) {
   const ElemAddr at = elemAddr(idx, stripe);
   ctrl.prefetch(ctx, at.dev, at.lba, chain);
-  int t = ctrl.submitRead(ctx, at.dev, at.lba, buf, chain);
+  int t = ctrl.asyncRead(ctx, at.dev, at.lba, buf, chain);
   return t + ctrl.arrayRead(ctx, idx, chain) + ctrl.arrayRead(ctx, 0, chain);
 }
 
