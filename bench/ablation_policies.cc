@@ -20,8 +20,11 @@ void runPolicy(const char* name, bool quick, TablePrinter& table) {
   auto host = bench::makeHost(tb);
   auto cfg = apps::dlrmPaperConfig(1, /*vocabScale=*/32);
   apps::DlrmTrace trace(cfg, 21);
+  // Smaller than the pages the trace touches, so the policies must choose
+  // victims: a 4,096-line cache holds every one of them, never evicts, and
+  // prints four identical rows.
   core::AgileCtrl<Policy, core::DefaultSharePolicy> ctrl(
-      *host, core::CtrlConfig{.cacheLines = 4096});
+      *host, core::CtrlConfig{.cacheLines = 2048});
   host->startAgile();
   const auto res =
       apps::runDlrm(*host, cfg, trace, apps::DlrmMode::kAgileSync, &ctrl,

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/stats.h"
+#include "common/quantile.h"
 #include "nvme/flash_store.h"
 
 namespace {
@@ -84,7 +84,7 @@ StormResult runStorm(const StormConfig& sc, bool quick) {
   // unaffected by the write mix.
   const std::uint64_t writeBase = 1ull << 19;
 
-  Histogram lat(48);
+  QuantileSketch lat;
   std::uint64_t completed = 0, failed = 0;
   auto* wmem = host->gpu().hbm().allocBytes(
       static_cast<std::uint64_t>(threads) * nvme::kLbaBytes);

@@ -12,7 +12,7 @@
 // handful of samples degrades to max() instead of a bucket bound.
 //
 // Used by the QoS subsystem for per-tenant submit-to-settle latency
-// (p50/p99/p999) and by sim::SweepStats for merged per-sweep percentiles.
+// (p50/p99/p999) and by bench/fault_storm for per-op latency.
 #pragma once
 
 #include <cstdint>

@@ -12,6 +12,9 @@
 // per target SSD, and returns a generation-checked IoToken
 // (core/io_token.h) that supports poll() and co_await wait().
 //
+// Every lane-side SSD command goes through issueRun (Algorithm 2, §3.3.1);
+// a single command is a run of one, a batch one run per target SSD.
+//
 // Template parameters select the software-cache replacement policy and the
 // Share Table policy at compile time (the paper's CRTP customization). All
 // potentially-stalling calls are coroutines: a simulated GPU thread composes
@@ -492,14 +495,25 @@ class AgileCtrl {
       }
     }
 
-    // Pass 2: one doorbell per target SSD for the whole run.
-    std::uint32_t issued = 0;
-    for (std::uint32_t dev = 0; issued < nCmds; ++dev) {
-      std::uint32_t devCount = 0;
-      for (std::uint32_t i = 0; i < nCmds; ++i) devCount += cmds[i].dev == dev;
-      if (devCount == 0) continue;
-      co_await issueBatchToSsd(ctx, dev, cmds, nCmds, chain);
-      issued += devCount;
+    // Pass 2: each target SSD's commands, in batch order, form one run on
+    // a width-1 slice at the warp-preferred queue pair: one SQ, and one
+    // doorbell unless the ring fills.
+    QueuePairSet& qps = host_->queuePairs();
+    for (std::uint32_t dev = 0, issued = 0; issued < nCmds; ++dev) {
+      nvme::Sqe devCmds[IoBatch::kMaxEntries];
+      Transaction devTxns[IoBatch::kMaxEntries];
+      std::uint32_t devN = 0;
+      for (std::uint32_t i = 0; i < nCmds; ++i) {
+        if (cmds[i].dev != dev) continue;
+        devCmds[devN] = cmds[i].cmd;
+        devTxns[devN++] = cmds[i].txn;
+      }
+      if (devN == 0) continue;
+      const QpSlice all = qps.slice(dev);
+      const QpSlice one{all.first + ctx.globalWarpIdx() % all.count, 1};
+      stats_.batchDoorbells +=
+          co_await issueRun(ctx, one, 0, devCmds, devTxns, devN, chain);
+      issued += devN;
     }
     co_return t;
   }
@@ -572,7 +586,7 @@ class AgileCtrl {
                                std::uint64_t lba, CacheLine& line,
                                AgileLockChain& chain) {
     noteLineOwner(line, qos::kHostTenant);
-    const PendingCmd fill = fillCmd(dev, lba, line, {}, qos::kHostTenant);
+    PendingCmd fill = fillCmd(dev, lba, line, {}, qos::kHostTenant);
     // Fills stay shard-local: the line's home shard selects its affine QP
     // slice on the target device (no-op at one shard).
     co_await issueToSsd(ctx, dev, fill.cmd, fill.txn, chain,
@@ -596,50 +610,79 @@ class AgileCtrl {
                         cache_.shardOfTag(line.tag), cache_.shardCount());
   }
 
-  // SQ selection (§3.3.1): start from the warp-indexed queue pair of the
-  // target SSD; on a full queue probe the slice's other queues; if all are
-  // full, park until the service frees an entry. With QoS active, admission
-  // gates the submission first (token-bucket defer/reject), and with WFQ
-  // active the full-queue park is arbitrated by tenant virtual time.
-  //
-  // Cache-originated traffic (fills, writebacks) passes its shard identity
-  // and probes only that shard's slice of the device's queue pairs
-  // (QueuePairSet::slice). shardTotal <= 1 selects over the device's full
-  // QP range (single-shard caches; the DLRM benches' default 32,768-line
-  // cache runs two shards, so their cache traffic is sliced).
+  // A single command is a run of one on its shard's slice of the device,
+  // starting from the warp-indexed queue pair (§3.3.1). Cache-originated
+  // traffic (fills, writebacks) passes its shard identity and probes only
+  // that shard's slice of the device's queue pairs (QueuePairSet::slice);
+  // shardTotal <= 1 selects over the device's full QP range.
   gpu::GpuTask<std::uint32_t> issueToSsd(gpu::KernelCtx& ctx,
-                                         std::uint32_t dev, nvme::Sqe cmd,
-                                         Transaction txn,
+                                         std::uint32_t dev, nvme::Sqe& cmd,
+                                         Transaction& txn,
                                          AgileLockChain& chain,
                                          std::uint32_t shard = 0,
                                          std::uint32_t shardTotal = 1) {
-    txn.submitNs = host_->engine().now();
+    const QpSlice slice = host_->queuePairs().slice(dev, shard, shardTotal);
+    return issueRun(ctx, slice, ctx.globalWarpIdx() % slice.count, &cmd, &txn,
+                    1, chain);
+  }
+
+  // Issue cmds[0, n) to one SSD; returns the doorbells rung. QoS admits
+  // the whole run at once (one run, one tenant; a reject settles it all).
+  // Each round takes its first SQE from `slice` rotating from `start`, the
+  // rest from the queue pair that granted it, and rings once; a full ring
+  // ends the round. With the slice full, the lane parks until the service
+  // (not another user thread) frees an entry — no §2.3.1 deadlock — in
+  // tenant virtual-time order under WFQ.
+  gpu::GpuTask<std::uint32_t> issueRun(gpu::KernelCtx& ctx, QpSlice slice,
+                                       std::uint32_t start,
+                                       const nvme::Sqe* cmds,
+                                       Transaction* txns, std::uint32_t n,
+                                       AgileLockChain& chain) {
+    AGILE_CHECK(n >= 1 && n <= IoBatch::kMaxEntries);
+    const SimTime submitNs = host_->engine().now();
+    for (std::uint32_t i = 0; i < n; ++i) txns[i].submitNs = submitNs;
+    const qos::TenantId tenant = txns[0].tenant;
     qos::QosManager* q = host_->qosManager();
     if (q != nullptr) {
-      const bool admitted =
-          co_await admitSubmission(ctx, txn.tenant, nvme::kLbaBytes);
+      const bool admitted = co_await admitSubmission(
+          ctx, tenant, n * static_cast<std::uint32_t>(nvme::kLbaBytes));
       if (!admitted) {
-        settleTransaction(host_->engine(), txn, nvme::Status::kCommandAborted);
-        co_return kNoSlot;
+        for (std::uint32_t i = 0; i < n; ++i) {
+          settleTransaction(host_->engine(), txns[i],
+                            nvme::Status::kCommandAborted);
+        }
+        co_return 0;
       }
     }
     QueuePairSet& qps = host_->queuePairs();
-    const QpSlice slice = qps.slice(dev, shard, shardTotal);
-    const std::uint32_t preferred = ctx.globalWarpIdx() % slice.count;
-    for (;;) {
-      const SimTime now = host_->engine().now();
-      const SlotGrant g = qps.acquireSlot(slice, preferred, now);
+    std::uint32_t rings = 0;
+    for (std::uint32_t done = 0; done < n;) {
+      SlotGrant g = qps.acquireSlot(slice, start, host_->engine().now());
       ctx.charge(g.probes * cost::kSqeAlloc);
-      if (g) {
-        if (q != nullptr) q->onGrant(txn.tenant, nvme::kLbaBytes);
-        writeAndRing(ctx, chain, *g.sq, &g.slot, &cmd, &txn, 1);
-        co_return g.slot;
+      if (!g) {
+        co_await ctx.parkOn(
+            slotWaiters(*qps.sqs[slice.first + start], tenant));
+        continue;
       }
-      // Every queue of this slice is full: wait for the service (not another
-      // user thread) to release an entry — the §2.3.1 deadlock cannot form.
-      co_await ctx.parkOn(
-          slotWaiters(*qps.sqs[slice.first + preferred], txn.tenant));
+      AgileSq& sq = *g.sq;
+      const QpSlice granted{slice.first + g.index, 1};
+      std::uint32_t slots[IoBatch::kMaxEntries];
+      std::uint32_t got = 0;
+      slots[got++] = g.slot;
+      while (done + got < n) {
+        g = qps.acquireSlot(granted, 0, host_->engine().now());
+        ctx.charge(g.probes * cost::kSqeAlloc);
+        if (!g) break;
+        slots[got++] = g.slot;
+      }
+      if (q != nullptr) {
+        q->onGrant(tenant, got * static_cast<std::uint32_t>(nvme::kLbaBytes));
+      }
+      writeAndRing(ctx, chain, sq, slots, cmds + done, txns + done, got);
+      ++rings;
+      done += got;
     }
+    co_return rings;
   }
 
   struct PendingCmd {
@@ -898,74 +941,6 @@ class AgileCtrl {
       }
     }
     return false;
-  }
-
-  // Issue every collected command targeting `dev` onto one SQ, ringing the
-  // doorbell once per contiguous run (chunked only when the ring fills).
-  gpu::GpuTask<void> issueBatchToSsd(gpu::KernelCtx& ctx, std::uint32_t dev,
-                                     const PendingCmd* cmds,
-                                     std::uint32_t nCmds,
-                                     AgileLockChain& chain) {
-    QueuePairSet& qps = host_->queuePairs();
-    const QpSlice all = qps.slice(dev);
-    // A width-1 slice at the warp-preferred queue pair: every slot of the
-    // run lands on one SQ, so one doorbell write covers it.
-    const QpSlice one{all.first + ctx.globalWarpIdx() % all.count, 1};
-    AgileSq& sq = *qps.sqs[one.first];
-
-    // Gather this device's commands preserving batch order.
-    nvme::Sqe devCmds[IoBatch::kMaxEntries];
-    Transaction devTxns[IoBatch::kMaxEntries];
-    std::uint32_t devN = 0;
-    const SimTime submitNs = host_->engine().now();
-    for (std::uint32_t i = 0; i < nCmds; ++i) {
-      if (cmds[i].dev != dev) continue;
-      devCmds[devN] = cmds[i].cmd;
-      devTxns[devN] = cmds[i].txn;
-      devTxns[devN].submitNs = submitNs;
-      ++devN;
-    }
-    if (devN == 0) co_return;
-
-    // Admission for the whole device run at once (one batch = one tenant):
-    // a rejected run settles every transaction with the admission error.
-    qos::QosManager* q = host_->qosManager();
-    const qos::TenantId tenant = devTxns[0].tenant;
-    if (q != nullptr) {
-      const bool admitted = co_await admitSubmission(
-          ctx, tenant, devN * static_cast<std::uint32_t>(nvme::kLbaBytes));
-      if (!admitted) {
-        for (std::uint32_t i = 0; i < devN; ++i) {
-          settleTransaction(host_->engine(), devTxns[i],
-                            nvme::Status::kCommandAborted);
-        }
-        co_return;
-      }
-    }
-
-    std::uint32_t done = 0;
-    while (done < devN) {
-      std::uint32_t slots[IoBatch::kMaxEntries];
-      std::uint32_t got = 0;
-      while (done + got < devN) {
-        const SlotGrant g = qps.acquireSlot(one, 0, host_->engine().now());
-        ctx.charge(g.probes * cost::kSqeAlloc);
-        if (!g) break;
-        slots[got++] = g.slot;
-      }
-      if (got == 0) {
-        // Ring full: wait for the service to release entries, then continue
-        // with the remainder (its doorbell counts as a new run).
-        co_await ctx.parkOn(slotWaiters(sq, tenant));
-        continue;
-      }
-      if (q != nullptr) {
-        q->onGrant(tenant, got * static_cast<std::uint32_t>(nvme::kLbaBytes));
-      }
-      writeAndRing(ctx, chain, sq, slots, devCmds + done, devTxns + done, got);
-      ++stats_.batchDoorbells;
-      done += got;
-    }
   }
 
   // Land `src` in a line claimed BUSY for its page, with no SSD round trip:

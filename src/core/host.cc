@@ -81,18 +81,7 @@ void AgileHost::initNvme() {
     }
   }
   qps_.buildDeviceTables();
-  // Multi-device aggregation audit: pendingTransactions(), ioTimeouts(),
-  // and ioHealth() already walk every SQ of every device, and drainIo()
-  // runs on pendingTransactions(), so those sum correctly at ssdCount() > 1.
-  // The staging pool did not: a fixed stagingPages throttled asyncWrite at
-  // one device's worth of pages no matter how wide the array. Opt into
-  // per-device sizing with stagingPagesPerSsd; stagingPages alone keeps the
-  // legacy fixed total (and byte-identical figure-bench output).
-  const std::uint32_t stagingPages =
-      cfg_.stagingPagesPerSsd > 0
-          ? cfg_.stagingPagesPerSsd * ssdCount()
-          : cfg_.stagingPages;
-  staging_ = std::make_unique<StagingPool>(gpu_.hbm(), stagingPages);
+  staging_ = std::make_unique<StagingPool>(gpu_.hbm(), cfg_.stagingPages);
   nvmeReady_ = true;
 }
 

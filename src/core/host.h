@@ -27,11 +27,6 @@ struct HostConfig {
   std::uint32_t queuePairsPerSsd = 8;
   std::uint32_t queueDepth = 256;
   std::uint32_t stagingPages = 1024;
-  // Nonzero scales the asyncWrite staging pool with the device count
-  // (stagingPagesPerSsd * ssdCount() pages) so write throughput is not
-  // capped at one device's worth of staging on a striped array. 0 keeps
-  // the legacy fixed stagingPages total.
-  std::uint32_t stagingPagesPerSsd = 0;
   ServiceConfig service;
   // Virtual-time watchdog for runKernel: a kernel exceeding this is treated
   // as hung (deadlock tests rely on it).

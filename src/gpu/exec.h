@@ -31,7 +31,6 @@
 
 #include "common/check.h"
 #include "common/small_fn.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "gpu/hbm.h"
 #include "gpu/task.h"

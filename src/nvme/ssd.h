@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "gpu/hbm.h"
 #include "nvme/defs.h"

@@ -4,7 +4,7 @@
 // (submit-to-settle latency sketches, achieved bytes, admission
 // defers/rejects, d4n-style cache-space accounting).
 //
-// Integration contract (see core/ctrl.h issueToSsd and
+// Integration contract (see core/ctrl.h issueRun and
 // core/io_queues.h applyCompletion):
 //
 //   * Admission — before SQ selection, a submission reserves `bytes` from

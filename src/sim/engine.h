@@ -45,7 +45,6 @@
 
 #include "common/check.h"
 #include "common/small_fn.h"
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace agile::sim {
@@ -205,9 +204,6 @@ class Engine {
     slabs_.push_back(Slab{std::make_unique<EventNode[]>(events), events});
     slabUsed_ = 0;
   }
-
-  StatsRegistry& stats() { return stats_; }
-  const StatsRegistry& stats() const { return stats_; }
 
  private:
   // Where a node currently lives; drives cancel() and lazy reclamation.
@@ -432,8 +428,6 @@ class Engine {
   std::vector<Slab> slabs_;
   std::size_t slabUsed_ = 0;
   EventNode* freeList_ = nullptr;
-
-  StatsRegistry stats_;
 };
 
 /// Intrusive waiter node for WaitList. Embed one (or a derived struct

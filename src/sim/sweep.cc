@@ -83,28 +83,6 @@ std::vector<SweepStats::Merged> SweepStats::merged() const {
   return rows;
 }
 
-QuantileSketch SweepStats::mergedSketch(std::string_view metric) const {
-  QuantileSketch out;
-  for (const auto& point : sketches_) {
-    for (const auto& [name, sketch] : point) {
-      if (name == metric) out.merge(sketch);
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> SweepStats::sketchMetrics() const {
-  std::vector<std::string> names;
-  for (const auto& point : sketches_) {
-    for (const auto& [name, sketch] : point) {
-      if (std::find(names.begin(), names.end(), name) == names.end()) {
-        names.push_back(name);
-      }
-    }
-  }
-  return names;
-}
-
 std::string SweepStats::render(std::string_view title) const {
   const auto rows = merged();
   std::string out = "-- sweep stats (" + std::string(title) + ", " +
@@ -121,17 +99,6 @@ std::string SweepStats::render(std::string_view title) const {
                   "%-*s %14" PRIu64 " %14" PRIu64 " %14" PRIu64 " %7zu\n",
                   static_cast<int>(width), r.metric.c_str(), r.total, r.min,
                   r.max, r.points);
-    out += line;
-  }
-  // Sketch metrics (if any) render after the counters; benches that record
-  // no sketches emit byte-identical tables to the pre-sketch format.
-  for (const auto& name : sketchMetrics()) {
-    const QuantileSketch s = mergedSketch(name);
-    std::snprintf(line, sizeof line,
-                  "%s: n=%" PRIu64 " p50=%" PRIu64 " p99=%" PRIu64
-                  " p999=%" PRIu64 " max=%" PRIu64 "\n",
-                  name.c_str(), s.count(), s.quantile(0.50), s.quantile(0.99),
-                  s.quantile(0.999), s.max());
     out += line;
   }
   return out;

@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/quantile.h"
 #include "common/small_fn.h"
 
 namespace agile::sim {
@@ -89,21 +88,11 @@ class SlabArenaPlan {
 // order (scanning points in index order), so output is deterministic.
 class SweepStats {
  public:
-  explicit SweepStats(std::size_t points)
-      : perPoint_(points), sketches_(points) {}
+  explicit SweepStats(std::size_t points) : perPoint_(points) {}
 
   void record(std::size_t point, std::string_view metric,
               std::uint64_t value) {
     perPoint_[point].emplace_back(std::string(metric), value);
-  }
-
-  // Record a latency (or other distribution) sketch for one point. Sketches
-  // merge exactly across points (bucket counts add — see QuantileSketch), so
-  // mergedSketch() percentiles are identical no matter how points are
-  // grouped. Same concurrency contract as record(): disjoint points only.
-  void recordSketch(std::size_t point, std::string_view metric,
-                    const QuantileSketch& sketch) {
-    sketches_[point].emplace_back(std::string(metric), sketch);
   }
 
   // Standard engine capacity/throughput telemetry for one point.
@@ -122,20 +111,11 @@ class SweepStats {
   // One row per metric, in deterministic first-recorded order.
   std::vector<Merged> merged() const;
 
-  // Cross-point merge of every sketch recorded under `metric` (exact:
-  // order-independent and associative). Empty sketch if never recorded.
-  QuantileSketch mergedSketch(std::string_view metric) const;
-
-  // Sketch metric names in deterministic first-recorded order.
-  std::vector<std::string> sketchMetrics() const;
-
-  // Human-readable table of the merged report; sketch metrics render as
-  // p50/p99/p999 rows after the counter rows.
+  // Human-readable table of the merged report.
   std::string render(std::string_view title) const;
 
  private:
   std::vector<std::vector<std::pair<std::string, std::uint64_t>>> perPoint_;
-  std::vector<std::vector<std::pair<std::string, QuantileSketch>>> sketches_;
 };
 
 }  // namespace agile::sim

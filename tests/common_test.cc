@@ -1,14 +1,12 @@
-// Unit tests for src/common: RNG determinism, Zipf sampling, histograms,
-// stats registry, table rendering, and the checked narrowing helpers.
+// Unit tests for src/common: RNG determinism, Zipf sampling, table
+// rendering, and the checked narrowing helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/table.h"
 #include "common/types.h"
 
@@ -128,44 +126,6 @@ TEST(PermutationTest, IsAPermutation) {
     EXPECT_FALSE(seen[v]);
     seen[v] = true;
   }
-}
-
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  for (std::uint64_t v : {1ull, 2ull, 4ull, 8ull, 1024ull}) h.record(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 1039u);
-  EXPECT_EQ(h.min(), 1u);
-  EXPECT_EQ(h.max(), 1024u);
-  EXPECT_NEAR(h.mean(), 1039.0 / 5, 1e-9);
-}
-
-TEST(HistogramTest, QuantileOrdering) {
-  Histogram h;
-  for (std::uint64_t i = 0; i < 1000; ++i) h.record(i);
-  EXPECT_LE(h.quantile(0.1), h.quantile(0.5));
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.99));
-}
-
-TEST(HistogramTest, ResetClears) {
-  Histogram h;
-  h.record(100);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0u);
-}
-
-TEST(StatsRegistryTest, CountersAndSummary) {
-  StatsRegistry reg;
-  reg.counter("io.reads").add(3);
-  reg.counter("io.reads").add(2);
-  reg.histogram("lat").record(7);
-  EXPECT_EQ(reg.counterValue("io.reads"), 5);
-  EXPECT_EQ(reg.counterValue("missing"), 0);
-  EXPECT_TRUE(reg.hasCounter("io.reads"));
-  EXPECT_FALSE(reg.hasCounter("missing"));
-  auto s = reg.summary();
-  EXPECT_NE(s.find("io.reads = 5"), std::string::npos);
 }
 
 TEST(TableTest, RendersAlignedColumns) {

@@ -108,13 +108,11 @@ struct StripeFixture : ::testing::Test {
   std::unique_ptr<AgileHost> host;
   std::unique_ptr<DefaultCtrl> ctrl;
 
-  void build(std::uint32_t ssds, StripeMap stripe,
-             std::uint32_t stagingPagesPerSsd = 0, bool lastRemote = false) {
+  void build(std::uint32_t ssds, StripeMap stripe, bool lastRemote = false) {
     HostConfig cfg;
     cfg.queuePairsPerSsd = 4;
     cfg.queueDepth = 64;
     cfg.stagingPages = 64;
-    cfg.stagingPagesPerSsd = stagingPagesPerSsd;
     host = std::make_unique<AgileHost>(cfg);
     for (std::uint32_t i = 0; i < ssds; ++i) {
       nvme::SsdConfig ssd;
@@ -189,7 +187,7 @@ TEST_F(StripeFixture, StripedWriteReadRoundTrip) {
 // higher per-command latency, and the mixed group still drains clean.
 TEST_F(StripeFixture, RemoteDeviceJoinsStripeTransparently) {
   const StripeMap stripe{2, 1, 0};
-  build(2, stripe, 0, /*lastRemote=*/true);
+  build(2, stripe, /*lastRemote=*/true);
   const SimTime start = host->engine().now();
   ASSERT_TRUE(host->runKernel(
       {.gridDim = 1, .blockDim = 1, .name = "mixed-read"},
@@ -226,16 +224,6 @@ TEST_F(StripeFixture, QueuePairTablesAreSsdMajor) {
       EXPECT_EQ(qps.sqs[s * 4 + q]->ssdIdx, s);
     }
   }
-}
-
-// stagingPagesPerSsd scales the asyncWrite staging pool with the device
-// count; the legacy stagingPages total is untouched when it is 0.
-TEST_F(StripeFixture, StagingPoolScalesWithDeviceCount) {
-  build(3, StripeMap{}, /*stagingPagesPerSsd=*/16);
-  EXPECT_EQ(host->staging().available(), 48u);
-  TearDown();
-  build(3, StripeMap{});
-  EXPECT_EQ(host->staging().available(), 64u);  // legacy fixed total
 }
 
 }  // namespace

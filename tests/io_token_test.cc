@@ -180,6 +180,46 @@ TEST_F(TokenFixture, BatchWritesRoundTrip) {
   EXPECT_EQ(ctrl->stats().batchDoorbells, 1u);
 }
 
+TEST_F(TokenFixture, BatchRunLongerThanRingIssuesInRounds) {
+  // One queue pair of depth 8 holds 7 commands, so a 12-write run cannot
+  // sit in the ring at once: it fills the ring and rings, parks until the
+  // service frees entries, and rings again for each remainder.
+  build(64, /*qps=*/1, /*depth=*/8);
+  constexpr std::uint32_t kWrites = 12;
+  auto* mem = host->gpu().hbm().allocBytes(kWrites * nvme::kLbaBytes);
+  AgileBuf bufs[kWrites];
+  AgileBufPtr ptrs[kWrites];
+  for (std::uint32_t i = 0; i < kWrites; ++i) {
+    bufs[i].bind(mem + i * nvme::kLbaBytes);
+    ptrs[i].bindOwn(bufs[i]);
+    ptrs[i].as<std::uint64_t>()[0] = 0xc000 + i;
+  }
+  bool ok = false;
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "tok-batch-rounds"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        IoBatch batch;
+        for (std::uint32_t i = 0; i < kWrites; ++i) {
+          EXPECT_TRUE(batch.addWrite(0, 300 + i, ptrs[i]));
+        }
+        IoToken t = co_await ctrl->submitBatch(ctx, batch, chain);
+        ok = co_await ctrl->wait(ctx, t);
+      }));
+  ASSERT_TRUE(host->drainIo());
+  EXPECT_TRUE(ok);
+  std::byte page[nvme::kLbaBytes];
+  for (std::uint32_t i = 0; i < kWrites; ++i) {
+    ASSERT_TRUE(host->ssd(0).flash().readPage(300 + i, page));
+    std::uint64_t word;
+    std::memcpy(&word, page, sizeof word);
+    EXPECT_EQ(word, 0xc000u + i) << "write " << i;
+  }
+  EXPECT_EQ(ctrl->stats().batchDoorbells, 3u);
+  EXPECT_EQ(host->staging().available(), 64u);
+  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);
+}
+
 TEST_F(TokenFixture, BatchCoalescesAcrossWarpLanes) {
   build();
   // 32 lanes submit the identical prefetch-only batch: the warp pass elects

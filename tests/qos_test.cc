@@ -1,5 +1,5 @@
 // Multi-tenant QoS subsystem tests: QuantileSketch tail/interpolation/merge
-// math, SweepStats sketch rows, QosManager admission and WFQ arbitration,
+// math, QosManager admission and WFQ arbitration,
 // and the end-to-end tenant plumbing through AgileCtrl (per-tenant latency
 // sketches, ioHealth admission counters, resetStats windows, and the
 // equal-weights byte-identity fallback).
@@ -14,7 +14,6 @@
 #include "common/quantile.h"
 #include "core/ctrl.h"
 #include "qos/qos.h"
-#include "sim/sweep.h"
 
 namespace agile::core {
 namespace {
@@ -112,31 +111,6 @@ TEST(QuantileSketch, ResetClearsEverything) {
   EXPECT_EQ(s.min(), 0u);
   EXPECT_EQ(s.max(), 0u);
   EXPECT_EQ(s.quantile(0.5), 0u);
-}
-
-// ------------------------------------------------- SweepStats sketches ----
-
-TEST(SweepStatsSketch, MergedSketchCombinesPoints) {
-  sim::SweepStats stats(3);
-  for (std::size_t p = 0; p < 3; ++p) {
-    QuantileSketch s;
-    for (std::uint64_t v = 1; v <= 100; ++v) s.record(v + p * 100);
-    stats.recordSketch(p, "latency", s);
-  }
-  const QuantileSketch merged = stats.mergedSketch("latency");
-  EXPECT_EQ(merged.count(), 300u);
-  EXPECT_EQ(merged.quantile(0.0), 1u);
-  EXPECT_EQ(merged.quantile(1.0), 300u);
-  const std::string table = stats.render("qos");
-  EXPECT_NE(table.find("latency: n=300"), std::string::npos);
-  EXPECT_NE(table.find("p999="), std::string::npos);
-}
-
-TEST(SweepStatsSketch, NoSketchesKeepsRenderUnchanged) {
-  sim::SweepStats stats(1);
-  stats.record(0, "x", 1);
-  const std::string table = stats.render("plain");
-  EXPECT_EQ(table.find("p50"), std::string::npos);
 }
 
 // ----------------------------------------------------- QosManager unit ----
@@ -366,6 +340,57 @@ TEST_F(QosCtrlFixture, AdmissionDefersSurfaceInIoHealth) {
   // AgileHost::resetStats clears the aggregate window.
   host->resetStats();
   EXPECT_EQ(host->ioHealth().admissionDefers, 0u);
+}
+
+TEST_F(QosCtrlFixture, AdmissionRejectSettlesSingleAndBatchRuns) {
+  // Tenant 0's one-page burst admits the first write; with no defer budget
+  // and a one-page-per-second refill, the next single write and a
+  // three-write batch run are rejected at admission. Every rejected entry
+  // must settle as failed and hand its staging page back, and the batch
+  // token must retire.
+  auto qosCfg = twoTenantCfg(1.0, 1.0, /*rate0=*/4096.0, /*burst0=*/4096.0);
+  qosCfg.maxAdmissionDefers = 0;
+  build(std::move(qosCfg));
+  constexpr std::uint32_t kBatch = 3;
+  auto* mem = host->gpu().hbm().allocBytes((2 + kBatch) * nvme::kLbaBytes);
+  bool first = false, single = true, batchOk = true;
+  bool entryFailed[kBatch] = {};
+  ASSERT_TRUE(host->runKernel(
+      {.gridDim = 1, .blockDim = 1, .name = "rejected"},
+      [&](gpu::KernelCtx& ctx) -> gpu::GpuTask<void> {
+        AgileLockChain chain;
+        AgileBuf bufs[2 + kBatch];
+        AgileBufPtr ptrs[2 + kBatch];
+        for (std::uint32_t i = 0; i < 2 + kBatch; ++i) {
+          bufs[i].bind(mem + i * nvme::kLbaBytes);
+          ptrs[i].bindOwn(bufs[i]);
+        }
+        co_await ctrl->asyncWrite(ctx, 0, 400, ptrs[0], chain, {0});
+        first = co_await ctrl->waitBuf(ctx, ptrs[0]);
+        co_await ctrl->asyncWrite(ctx, 0, 401, ptrs[1], chain, {0});
+        single = co_await ctrl->waitBuf(ctx, ptrs[1]);
+        IoBatch batch;
+        batch.setTenant({0});
+        for (std::uint32_t i = 0; i < kBatch; ++i) {
+          EXPECT_TRUE(batch.addWrite(0, 402 + i, ptrs[2 + i]));
+        }
+        IoToken t = co_await ctrl->submitBatch(ctx, batch, chain);
+        batchOk = co_await ctrl->wait(ctx, t);
+        for (std::uint32_t i = 0; i < kBatch; ++i) {
+          entryFailed[i] = bufs[2 + i].barrier().failed();
+        }
+      }));
+  ASSERT_TRUE(host->drainIo());
+  EXPECT_TRUE(first);
+  EXPECT_FALSE(single);
+  EXPECT_FALSE(batchOk);
+  for (std::uint32_t i = 0; i < kBatch; ++i) {
+    EXPECT_TRUE(entryFailed[i]) << "batch entry " << i;
+  }
+  EXPECT_EQ(host->ioHealth().admissionRejects, 2u);
+  EXPECT_EQ(host->ssd(0).writesCompleted(), 1u);
+  EXPECT_EQ(host->staging().available(), 64u);
+  EXPECT_EQ(ctrl->tokens().liveOps(), 0u);
 }
 
 // With QoS attached but weights equal (WFQ inactive) and no rate limits,

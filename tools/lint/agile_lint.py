@@ -609,7 +609,7 @@ def check_tenant_default(ctx: FileContext) -> Iterator[Finding]:
 # element index, which elemAddr routes, so a literal there is no pinned device.
 _DEVICE_CALL_RE = re.compile(
     r"\b(prefetch|prefetchDivergent|asyncRead|asyncWrite|"
-    r"readElem|writeElem|readPage|issueFill|issueToSsd|issueBatchToSsd|"
+    r"readElem|writeElem|readPage|issueFill|issueToSsd|"
     r"slice)\s*(?:<[^;(){}]*>)?\s*(\()"
 )
 _INT_LITERAL_RE = re.compile(r"^(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]{0,3}$")
